@@ -125,9 +125,14 @@ int main() {
   for (const auto &[Id, Stat] : MissByPhase) {
     if (Stat.totalWeight() < 20000)
       continue; // Skip negligible connective tissue.
+    // Appended, not `"m" + std::to_string(Id)`: see callloop/Graph.cpp.
+    std::string Label = "start";
+    if (Id != ProloguePhase) {
+      Label = "m";
+      Label += std::to_string(Id);
+    }
     S.row()
-        .cell(Id == ProloguePhase ? std::string("start")
-                                  : "m" + std::to_string(Id))
+        .cell(Label)
         .cell(LenByPhase[Id].mean(), 0)
         .percentCell(Stat.mean());
   }

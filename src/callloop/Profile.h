@@ -44,15 +44,12 @@ private:
 };
 
 /// Profiles \p B on \p In and returns the finalized call-loop graph.
-/// \p Extra, when non-null, observes the same run (e.g. a PerfModel).
 /// \p Bc, when non-null, selects the bytecode execution tier (byte-identical
-/// output; see vm/Bytecode.h). It applies to the devirtualized path only —
-/// a non-null \p Extra forces the batched compatibility path regardless.
+/// output; see vm/Bytecode.h).
 inline std::unique_ptr<CallLoopGraph>
 buildCallLoopGraph(const Binary &B, const LoopIndex &Loops,
                    const WorkloadInput &In,
                    uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max(),
-                   ExecutionObserver *Extra = nullptr,
                    const BytecodeModule *Bc = nullptr) {
   SPM_TRACE_SPAN("pipeline.build_graph");
   auto G = std::make_unique<CallLoopGraph>(B, Loops);
@@ -60,14 +57,7 @@ buildCallLoopGraph(const Binary &B, const LoopIndex &Loops,
   Tracker.setProfileTarget(G.get());
 
   Interpreter Interp(B, In);
-  if (Extra) {
-    // Extra's dynamic type is unknown, so devirtualized replay is out;
-    // run batched with per-event mux fan-out (the compatibility path).
-    ObserverMux Mux;
-    Mux.add(&Tracker);
-    Mux.add(Extra);
-    Interp.runBatched(Mux, MaxInstrs);
-  } else if (Bc) {
+  if (Bc) {
     Interp.runBytecode(*Bc, Tracker, MaxInstrs);
   } else {
     Interp.runFast(Tracker, MaxInstrs);

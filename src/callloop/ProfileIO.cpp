@@ -2,7 +2,9 @@
 
 #include "callloop/ProfileIO.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -48,10 +50,11 @@ std::string spm::serializeProfile(const CallLoopGraph &G, const Binary &B,
 std::optional<CallLoopProfileFile> spm::parseProfile(const std::string &Text,
                                                      std::string *Error) {
   size_t LineNo = 0;
-  auto Fail = [&](const std::string &Msg)
+  auto Fail = [&](const char *Slug, const std::string &Detail)
       -> std::optional<CallLoopProfileFile> {
     if (Error)
-      *Error = "line " + std::to_string(LineNo) + ": " + Msg;
+      *Error = std::string("profile[") + Slug + "]: " + Detail + " (line " +
+               std::to_string(LineNo) + ")";
     return std::nullopt;
   };
 
@@ -65,39 +68,47 @@ std::optional<CallLoopProfileFile> spm::parseProfile(const std::string &Text,
     }
     return false;
   };
+  // Every record ends at its last field; End is the %n offset after it.
+  auto AtEnd = [&](int End) {
+    return Line.find_first_not_of(" \t", End) == std::string::npos;
+  };
 
   if (!NextLine(Line) || Line != "spm-profile v1")
-    return Fail("missing 'spm-profile v1' header");
+    return Fail("header", "missing 'spm-profile v1' header");
 
   CallLoopProfileFile P;
   uint32_t NumFuncs = 0, NumLoops = 0;
   size_t NumEdges = 0;
 
+  int End = 0;
   if (!NextLine(Line) ||
-      std::sscanf(Line.c_str(), "funcs %u", &NumFuncs) != 1)
-    return Fail("expected 'funcs <N>'");
+      std::sscanf(Line.c_str(), "funcs %u%n", &NumFuncs, &End) != 1 ||
+      !AtEnd(End))
+    return Fail("funcs", "expected 'funcs <N>'");
   P.FuncNames.resize(NumFuncs);
   for (uint32_t I = 0; I < NumFuncs; ++I) {
     uint32_t Id = 0;
     char Name[200] = {};
     if (!NextLine(Line) ||
-        std::sscanf(Line.c_str(), "func %u %199s", &Id, Name) != 2 ||
-        Id >= NumFuncs)
-      return Fail("bad func line");
+        std::sscanf(Line.c_str(), "func %u %199s%n", &Id, Name, &End) != 2 ||
+        !AtEnd(End) || Id >= NumFuncs)
+      return Fail("func", "expected 'func <id> <name>' with id < funcs");
     P.FuncNames[Id] = Name;
   }
 
   if (!NextLine(Line) ||
-      std::sscanf(Line.c_str(), "loops %u", &NumLoops) != 1)
-    return Fail("expected 'loops <N>'");
+      std::sscanf(Line.c_str(), "loops %u%n", &NumLoops, &End) != 1 ||
+      !AtEnd(End))
+    return Fail("loops", "expected 'loops <N>'");
   P.LoopInfo.resize(NumLoops);
   for (uint32_t I = 0; I < NumLoops; ++I) {
     uint32_t Id = 0, FuncId = 0, Stmt = 0;
     if (!NextLine(Line) ||
-        std::sscanf(Line.c_str(), "loop %u %u %u", &Id, &FuncId, &Stmt) !=
-            3 ||
-        Id >= NumLoops || FuncId >= NumFuncs)
-      return Fail("bad loop line");
+        std::sscanf(Line.c_str(), "loop %u %u %u%n", &Id, &FuncId, &Stmt,
+                    &End) != 3 ||
+        !AtEnd(End) || Id >= NumLoops || FuncId >= NumFuncs)
+      return Fail("loop", "expected 'loop <id> <funcId> <srcStmt>' with "
+                          "id < loops and funcId < funcs");
     P.LoopInfo[Id] = {FuncId, Stmt};
   }
 
@@ -117,21 +128,42 @@ std::optional<CallLoopProfileFile> spm::parseProfile(const std::string &Text,
   }
 
   if (!NextLine(Line) ||
-      std::sscanf(Line.c_str(), "edges %zu", &NumEdges) != 1)
-    return Fail("expected 'edges <N>'");
+      std::sscanf(Line.c_str(), "edges %zu%n", &NumEdges, &End) != 1 ||
+      !AtEnd(End))
+    return Fail("edges", "expected 'edges <N>'");
   for (size_t I = 0; I < NumEdges; ++I) {
     uint32_t From = 0, To = 0;
     uint64_t Count = 0;
     double Mean = 0, M2 = 0, Sum = 0, Max = 0, Min = 0;
     if (!NextLine(Line) ||
         std::sscanf(Line.c_str(),
-                    "edge %u %u %" SCNu64 " %lg %lg %lg %lg %lg", &From, &To,
-                    &Count, &Mean, &M2, &Sum, &Max, &Min) != 8)
-      return Fail("bad edge line");
+                    "edge %u %u %" SCNu64 " %lg %lg %lg %lg %lg%n", &From,
+                    &To, &Count, &Mean, &M2, &Sum, &Max, &Min, &End) != 8)
+      return Fail("edge", "expected 'edge <from> <to> <count> <mean> <m2> "
+                          "<sum> <max> <min>'");
+    if (!AtEnd(End))
+      return Fail("trailing", "unexpected '" + Line.substr(End) +
+                                  "' after the edge fields");
     if (From >= P.Graph->numNodes() || To >= P.Graph->numNodes())
-      return Fail("edge references unknown node");
+      return Fail("node", "edge references unknown node");
     if (Count == 0)
-      return Fail("edge with zero traversals");
+      return Fail("count", "edge with zero traversals");
+    // The moments must be what a RunningStat can hold: a NaN M2 alone
+    // makes the selector's CoV threshold NaN and silently drops markers.
+    for (double V : {Mean, M2, Sum, Max, Min})
+      if (!std::isfinite(V))
+        return Fail("nonfinite", "edge moments must be finite");
+    if (M2 < 0)
+      return Fail("m2", "negative second moment");
+    if (!(Min <= Mean && Mean <= Max))
+      return Fail("range", "edge violates min <= mean <= max");
+    // Welford's running mean and the plain running sum round differently,
+    // so they agree only to a relative tolerance, never exactly.
+    constexpr double SumTolerance = 1e-6;
+    double Expected = static_cast<double>(Count) * Mean;
+    if (std::fabs(Sum - Expected) >
+        SumTolerance * std::max(std::fabs(Sum), std::fabs(Expected)))
+      return Fail("sum", "edge sum disagrees with count * mean");
     P.Graph->setEdgeStats(
         From, To, RunningStat::fromMoments(Count, Mean, M2, Sum, Max, Min));
   }

@@ -51,8 +51,10 @@ std::string serializeProfile(const CallLoopGraph &G, const Binary &B,
                              const LoopIndex &Loops);
 
 /// Parses a v1 profile. Returns std::nullopt and fills \p Error on any
-/// malformed input. The returned graph is finalized and ready for
-/// selectMarkers().
+/// malformed input, as `profile[<slug>]: <detail> (line N)`. Beyond the
+/// syntax, every edge's moments must be ones a RunningStat can hold:
+/// finite, M2 >= 0, min <= mean <= max, and sum equal to count * mean up to
+/// rounding. The returned graph is finalized and ready for selectMarkers().
 std::optional<CallLoopProfileFile>
 parseProfile(const std::string &Text, std::string *Error = nullptr);
 

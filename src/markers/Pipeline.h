@@ -111,8 +111,7 @@ buildCallLoopGraphs(const Binary &B, const LoopIndex &Loops,
     // module may back all concurrent runs; its verification memo makes the
     // per-run verify a single atomic load after the first.
     return buildCallLoopGraph(B, Loops, *Inputs[I],
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc);
+                              std::numeric_limits<uint64_t>::max(), Bc);
   });
 }
 

@@ -49,8 +49,12 @@ std::string endpointName(const PortableEndpoint &E) {
   case NodeKind::ProcBody:
     return E.Func;
   case NodeKind::LoopHead:
-  case NodeKind::LoopBody:
-    return "s" + std::to_string(E.LoopStmt);
+  case NodeKind::LoopBody: {
+    // Appended, not `"s" + std::to_string(...)`: see callloop/Graph.cpp.
+    std::string Name = "s";
+    Name += std::to_string(E.LoopStmt);
+    return Name;
+  }
   }
   return "-";
 }

@@ -186,8 +186,7 @@ inline std::unique_ptr<CallLoopGraph> buildCallLoopGraphSharded(
     const ShardRetryPolicy &Retry = ShardRetryPolicy()) {
   if (NShards <= 1) {
     auto T0 = std::chrono::steady_clock::now();
-    auto G = buildCallLoopGraph(B, Loops, In, MaxInstrs, /*Extra=*/nullptr,
-                                Bc);
+    auto G = buildCallLoopGraph(B, Loops, In, MaxInstrs, Bc);
     if (ShardSeconds)
       ShardSeconds->push_back(detail::secondsSince(T0));
     return G;

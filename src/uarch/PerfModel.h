@@ -134,10 +134,10 @@ public:
       ++C.L2Misses;
   }
 
-  /// Bulk form: one access-counter bump for the whole run, cache probes in
-  /// stream order (identical counter values to per-access delivery).
-  void onMemRun(const uint64_t *Addrs, uint32_t Count,
-                bool IsStore) override {
+  /// Bulk form, used by the devirtualized engines (see ObserverTraits): one
+  /// access-counter bump for the whole run, cache probes in stream order
+  /// (identical counter values to per-access delivery).
+  void onMemRun(const uint64_t *Addrs, uint32_t Count, bool IsStore) {
     (void)IsStore;
     C.L1Accesses += Count;
     for (uint32_t I = 0; I < Count; ++I) {

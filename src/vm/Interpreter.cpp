@@ -7,148 +7,6 @@ using namespace spm;
 // Out-of-line virtual method anchor.
 ExecutionObserver::~ExecutionObserver() = default;
 
-void spm::replayEvents(const EventBatch &EB, ExecutionObserver &O) {
-  const Binary &B = *EB.Bin;
-  size_t NBlk = 0, NMem = 0, NBr = 0, NCall = 0, NRet = 0;
-  for (EventBatch::Kind K : EB.Kinds) {
-    switch (K) {
-    case EventBatch::Kind::Block:
-      O.onBlock(B.Blocks[EB.Blocks[NBlk++]]);
-      break;
-    case EventBatch::Kind::MemRun: {
-      const MemRunRecord &R = EB.MemRuns[NMem++];
-      O.onMemRun(EB.Addrs.data() + R.First, R.Count, R.IsStore);
-      break;
-    }
-    case EventBatch::Kind::Branch: {
-      const BranchRecord &R = EB.Branches[NBr++];
-      O.onBranch(R.Pc, R.Target, R.Taken, R.Backward, R.Conditional);
-      break;
-    }
-    case EventBatch::Kind::Call: {
-      const CallRecord &R = EB.Calls[NCall++];
-      O.onCall(R.SiteAddr, R.Callee);
-      break;
-    }
-    case EventBatch::Kind::Return:
-      O.onReturn(EB.Returns[NRet++]);
-      break;
-    }
-  }
-}
-
-void ExecutionObserver::onEvents(const EventBatch &EB) {
-  replayEvents(EB, *this);
-}
-
-namespace {
-
-/// Emitter policy for the legacy engine: every event becomes an immediate
-/// virtual call, in stream order.
-struct DirectEmitter {
-  ExecutionObserver &Obs;
-
-  static constexpr bool wantsMem() { return true; }
-  void block(const LoweredBlock &Blk) { Obs.onBlock(Blk); }
-  void beginMemRun(const MemAccessSpec &M) { (void)M; }
-  void memAddr(uint64_t Addr, bool IsStore) { Obs.onMemAccess(Addr, IsStore); }
-  void endMemRun(const MemAccessSpec &M) { (void)M; }
-  void branch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
-              bool Conditional) {
-    Obs.onBranch(Pc, Target, Taken, Backward, Conditional);
-  }
-  void call(uint64_t SiteAddr, uint32_t Callee) {
-    Obs.onCall(SiteAddr, Callee);
-  }
-  void ret(uint32_t Callee) { Obs.onReturn(Callee); }
-};
-
-/// Emitter policy for the batched engine: events append to a flat EventBatch
-/// that is flushed through the sink at safe points (never inside an open
-/// memory run, so MemRun records always index into their own batch).
-struct BatchEmitter {
-  const BatchSink &Sink;
-  EventBatch EB;
-
-  explicit BatchEmitter(const BatchSink &Sink, const Binary &B) : Sink(Sink) {
-    EB.Bin = &B;
-    EB.reserve(Interpreter::BatchEvents);
-  }
-
-  bool wantsMem() const { return Sink.WantsMem; }
-  bool wants(EventBatch::Kind K) const {
-    return Sink.WantsKinds & (1u << static_cast<unsigned>(K));
-  }
-
-  void flush() {
-    if (EB.empty())
-      return;
-    if (spmTraceEnabled())
-      metrics().counter("vm.batch_flushes").forceAdd(1);
-    Sink.Flush(Sink.Ctx, EB);
-    EB.clear();
-  }
-
-  void maybeFlush() {
-    if (EB.size() >= Interpreter::BatchEvents)
-      flush();
-  }
-
-  // Each handler below is a safe flush point (no memory run is open), so
-  // the flush check runs even when the event itself is dropped by the
-  // wanted-kinds mask — otherwise a sink listening only to memory runs
-  // would never flush mid-run.
-  void block(const LoweredBlock &Blk) {
-    maybeFlush();
-    if (!wants(EventBatch::Kind::Block))
-      return;
-    EB.Kinds.push_back(EventBatch::Kind::Block);
-    EB.Blocks.push_back(Blk.GlobalId);
-  }
-  void beginMemRun(const MemAccessSpec &M) {
-    (void)M;
-    PendingFirst = static_cast<uint32_t>(EB.Addrs.size());
-  }
-  void memAddr(uint64_t Addr, bool IsStore) {
-    (void)IsStore;
-    EB.Addrs.push_back(Addr);
-  }
-  void endMemRun(const MemAccessSpec &M) {
-    uint32_t Count = static_cast<uint32_t>(EB.Addrs.size()) - PendingFirst;
-    if (Count == 0)
-      return;
-    EB.Kinds.push_back(EventBatch::Kind::MemRun);
-    EB.MemRuns.push_back({PendingFirst, Count, M.IsStore});
-  }
-  void branch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
-              bool Conditional) {
-    maybeFlush();
-    if (!wants(EventBatch::Kind::Branch))
-      return;
-    EB.Kinds.push_back(EventBatch::Kind::Branch);
-    EB.Branches.push_back({Pc, Target, Taken, Backward, Conditional});
-  }
-  void call(uint64_t SiteAddr, uint32_t Callee) {
-    maybeFlush();
-    if (!wants(EventBatch::Kind::Call))
-      return;
-    EB.Kinds.push_back(EventBatch::Kind::Call);
-    EB.Calls.push_back({SiteAddr, Callee});
-  }
-  void ret(uint32_t Callee) {
-    maybeFlush();
-    if (!wants(EventBatch::Kind::Return))
-      return;
-    EB.Kinds.push_back(EventBatch::Kind::Return);
-    EB.Returns.push_back(Callee);
-  }
-
-private:
-  uint32_t PendingFirst = 0;
-};
-
-} // namespace
-
 Interpreter::Interpreter(const Binary &B, const WorkloadInput &In)
     : B(B), In(In), Rand(In.seed()) {
   RegionSizes.reserve(B.Regions.size());
@@ -178,53 +36,14 @@ Interpreter::Interpreter(const Binary &B, const WorkloadInput &In)
 }
 
 RunResult Interpreter::run(ExecutionObserver &Obs, uint64_t MaxInstrsIn) {
-  SPM_TRACE_SPAN("vm.run");
-  MaxInstrs = MaxInstrsIn;
-  Result = RunResult();
-  Obs.onRunStart(B, In);
-  DirectEmitter E{Obs};
-  execFunctionT(/*FuncId=*/0, /*Depth=*/0, E);
-  Obs.onRunEnd(Result.TotalInstrs);
-  vm_detail::recordRunMetrics("vm.runs_direct", Result);
-  return Result;
-}
-
-RunResult Interpreter::runBatchedSink(const BatchSink &Sink,
-                                      uint64_t MaxInstrsIn) {
-  SPM_TRACE_SPAN("vm.runBatched");
-  MaxInstrs = MaxInstrsIn;
-  Result = RunResult();
-  Sink.RunStart(Sink.Ctx, B, In);
-  BatchEmitter E(Sink, B);
-  execFunctionT(/*FuncId=*/0, /*Depth=*/0, E);
-  E.flush();
-  Sink.RunEnd(Sink.Ctx, Result.TotalInstrs);
-  vm_detail::recordRunMetrics("vm.runs_batched", Result);
-  return Result;
-}
-
-RunResult Interpreter::runBatched(ExecutionObserver &Obs,
-                                  uint64_t MaxInstrsIn) {
-  BatchSink S;
-  S.Ctx = &Obs;
-  S.RunStart = [](void *Ctx, const Binary &Bin, const WorkloadInput &I) {
-    static_cast<ExecutionObserver *>(Ctx)->onRunStart(Bin, I);
-  };
-  S.Flush = [](void *Ctx, const EventBatch &EB) {
-    static_cast<ExecutionObserver *>(Ctx)->onEvents(EB);
-  };
-  S.RunEnd = [](void *Ctx, uint64_t Total) {
-    static_cast<ExecutionObserver *>(Ctx)->onRunEnd(Total);
-  };
-  return runBatchedSink(S, MaxInstrsIn);
+  return runFast(Obs, MaxInstrsIn);
 }
 
 RunResult Interpreter::runSegment(ExecutionObserver &Obs,
                                   const InterpCheckpoint *From,
                                   uint64_t UntilInstrs,
                                   InterpCheckpoint *Out) {
-  DirectEmitter E{Obs};
-  return segmentT(E, From, UntilInstrs, Out);
+  return runFastSegment(Obs, From, UntilInstrs, Out);
 }
 
 void Interpreter::snapshotState(InterpCheckpoint &C) const {
@@ -256,5 +75,4 @@ void Interpreter::restoreState(const InterpCheckpoint &C) {
 }
 
 // The exec tree and the address/trip/cond evaluators live in Interpreter.h
-// so runFast instantiations inline them fully; the emitters above only need
-// the declarations visible here.
+// so every runFast instantiation, run()'s included, inlines them fully.

@@ -27,7 +27,6 @@
 #include "support/Trace.h"
 #include "vm/Bytecode.h"
 #include "vm/Checkpoint.h"
-#include "vm/EventBatch.h"
 #include "vm/Observer.h"
 
 #include <algorithm>
@@ -65,11 +64,15 @@ inline void recordRunMetrics(const char *RunCounter, const RunResult &R) {
 
 } // namespace vm_detail
 
-/// Emitter policy for the devirtualized direct path (runFast): every event
-/// dispatches statically into the concrete observer, unbuffered. A block's
-/// memory accesses are staged in a small reused buffer so observers with an
-/// onMemRun handler still receive them as one bulk record.
+/// The interpreter's one emitter: the exec tree and the bytecode loop hand
+/// every event to it, and it dispatches the event into \p ObsT at once,
+/// unbuffered (see the dispatch helpers in vm/Observer.h). When \p ObsT has
+/// an onMemRun handler, each MemAccessSpec's accesses are staged in a small
+/// reused buffer and delivered as one bulk record; otherwise each address
+/// is dispatched as it is generated.
 template <class ObsT> struct StaticEmitter {
+  static constexpr bool BulkMem = ObserverTraits<ObsT>::OwnMemRun;
+
   ObsT &Obs;
   std::vector<uint64_t> RunBuf;
 
@@ -77,26 +80,28 @@ template <class ObsT> struct StaticEmitter {
 
   static constexpr bool wantsMem() { return wantsMemEvents<ObsT>(); }
   void block(const LoweredBlock &Blk) { dispatchBlock(Obs, Blk); }
-  void beginMemRun(const MemAccessSpec &M) {
-    (void)M;
-    RunBuf.clear();
+  void beginMemRun() {
+    if constexpr (BulkMem)
+      RunBuf.clear();
   }
   void memAddr(uint64_t Addr, bool IsStore) {
-    (void)IsStore;
-    RunBuf.push_back(Addr);
+    if constexpr (BulkMem)
+      RunBuf.push_back(Addr);
+    else
+      dispatchMemAccess(Obs, Addr, IsStore);
   }
-  void endMemRun(const MemAccessSpec &M) {
-    if (!RunBuf.empty())
-      dispatchMemRun(Obs, RunBuf.data(),
-                     static_cast<uint32_t>(RunBuf.size()), M.IsStore);
+  void endMemRun(bool IsStore) {
+    if constexpr (BulkMem)
+      if (!RunBuf.empty())
+        dispatchMemRun(Obs, RunBuf.data(),
+                       static_cast<uint32_t>(RunBuf.size()), IsStore);
   }
   void branch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
               bool Conditional) {
-    dispatchBranch(Obs, BranchRecord{Pc, Target, Taken, Backward,
-                                     Conditional});
+    dispatchBranch(Obs, Pc, Target, Taken, Backward, Conditional);
   }
   void call(uint64_t SiteAddr, uint32_t Callee) {
-    dispatchCall(Obs, CallRecord{SiteAddr, Callee});
+    dispatchCall(Obs, SiteAddr, Callee);
   }
   void ret(uint32_t Callee) { dispatchReturn(Obs, Callee); }
 };
@@ -109,35 +114,23 @@ public:
   /// on in tests).
   static constexpr unsigned MaxCallDepth = 256;
 
-  /// Events buffered between flushes on the batched paths. Large enough to
-  /// amortize the per-flush indirect call, small enough to stay cache-
-  /// resident. A batch may exceed this by one block's worth of events (the
-  /// flush check sits at safe points only).
-  static constexpr size_t BatchEvents = 4096;
-
   Interpreter(const Binary &B, const WorkloadInput &In);
 
   /// Runs to completion or until \p MaxInstrs retire. Returns the summary.
-  /// Legacy engine: one virtual call per event, in stream order.
+  /// The entry point for observers whose concrete type is unknown at the
+  /// call site (an ObserverMux stack, say): runFast instantiated on
+  /// ExecutionObserver itself, so each event is one virtual call.
   RunResult run(ExecutionObserver &Obs,
                 uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max());
 
-  /// Batched engine, dynamic dispatch: fills an EventBatch and flushes it
-  /// through the virtual onEvents hook every ~BatchEvents events. With the
-  /// default onEvents the observer sees a per-event stream identical to
-  /// run(), including ObserverMux interleaving.
-  RunResult
-  runBatched(ExecutionObserver &Obs,
-             uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max());
-
   /// Devirtualized engine: the exec tree emits every event directly into
-  /// the concrete observer \p Obs with zero virtual calls and zero
-  /// buffering — handler calls bind statically and handlers \p Obs never
-  /// overrides vanish at compile time (memory events are then not even
-  /// materialized; see skipAccesses). \p Obs may be any type with (a
-  /// subset of) the ExecutionObserver handler signatures — a concrete
-  /// observer, a StaticMux, or a plain struct; ObsT must be its
-  /// most-derived type.
+  /// \p Obs with zero buffering — handler calls bind statically and
+  /// handlers \p Obs never overrides vanish at compile time (memory events
+  /// are then not even materialized; see skipAccesses). \p Obs may be any
+  /// type with (a subset of) the ExecutionObserver handler signatures — a
+  /// concrete observer, a StaticMux, or a plain struct; ObsT must be its
+  /// most-derived type, or ExecutionObserver itself for virtual dispatch
+  /// (which is what run() is).
   template <class ObsT>
   RunResult runFast(ObsT &Obs,
                     uint64_t MaxInstrsIn =
@@ -206,7 +199,8 @@ public:
     return segmentT(E, From, UntilInstrs, Out);
   }
 
-  /// Virtual-dispatch segment (DirectEmitter, like run()).
+  /// Virtual-dispatch segment: runFastSegment on ExecutionObserver, like
+  /// run().
   RunResult runSegment(ExecutionObserver &Obs, const InterpCheckpoint *From,
                        uint64_t UntilInstrs, InterpCheckpoint *Out = nullptr);
 
@@ -243,15 +237,9 @@ private:
   static constexpr uint64_t DataBase = 1ull << 32;
   static constexpr uint64_t RegionSpacing = 1ull << 30;
 
-  /// Runs the batched engine against a type-erased sink (one indirect call
-  /// per flush). Both runBatched and runFast funnel through here.
-  RunResult runBatchedSink(const BatchSink &Sink, uint64_t MaxInstrs);
-
-  // The single exec tree, parameterized over an event-emitter policy so the
-  // engine variants cannot drift apart. Emit is DirectEmitter (immediate
-  // virtual calls) or BatchEmitter (EventBatch append + flush), both in
-  // Interpreter.cpp, or StaticEmitter above. Defined after the class so
-  // every instantiation inlines fully.
+  // The single exec tree. Emit is always a StaticEmitter<ObsT>; the tree is
+  // a template over it so each observer type gets its own fully inlined
+  // copy. Defined after the class so every instantiation inlines fully.
   template <class Emit>
   bool execFunctionT(uint32_t FuncId, unsigned Depth, Emit &E);
   /// Executes Nodes[First..), capturing the failing child index on budget
@@ -370,7 +358,7 @@ private:
   // reverses). All helpers return false so capture sites read
   // `return capX(...)`. Cost on the hot path is zero — these run only on
   // the rare budget-exhausted unwind, and not at all when Capture is null
-  // (run/runBatched/runFast never set it).
+  // (run/runFast/runBytecode never set it).
   bool capFunc(uint32_t FuncId, uint8_t Step) {
     if (Capture)
       Capture->push_back(
@@ -560,10 +548,10 @@ bool Interpreter::execBlockT(const LoweredBlock &Blk, Emit &E) {
     for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
       const MemAccessSpec &M = Blk.MemOps[I];
       uint32_t Site = Blk.FirstMemSite + static_cast<uint32_t>(I);
-      E.beginMemRun(M);
+      E.beginMemRun();
       for (uint32_t C = 0; C < M.Count; ++C)
         E.memAddr(genAddress(M, Site), M.IsStore);
-      E.endMemRun(M);
+      E.endMemRun(M.IsStore);
       Result.TotalMemAccesses += M.Count;
     }
   } else {
@@ -883,7 +871,7 @@ void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
     uint64_t WS = Size * Ms.WorkingSetFrac256 / 256;
     if (WS < 64)
       WS = 64;
-    E.beginMemRun(Ms);
+    E.beginMemRun();
     switch (Ms.Pat) {
     case MemAccessSpec::Pattern::Sequential: {
       uint64_t P = SeqPos[Site];
@@ -923,7 +911,7 @@ void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
       break;
     }
     }
-    E.endMemRun(Ms);
+    E.endMemRun(Ms.IsStore);
   }
 }
 

@@ -14,6 +14,11 @@
 /// observer; ObserverMux fans one execution out to many of them so a single
 /// simulated run feeds every analysis at once.
 ///
+/// The second half of the header is the static-dispatch layer the
+/// interpreter's emitter is built on: ObserverTraits detects which handlers
+/// a type provides itself, the dispatch* helpers call exactly those, and
+/// StaticMux<Os...> is the compile-time sibling of ObserverMux.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPM_VM_OBSERVER_H
@@ -22,11 +27,12 @@
 #include "ir/Binary.h"
 #include "ir/Input.h"
 
+#include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace spm {
-
-class EventBatch;
 
 /// Receives instrumentation events from the interpreter. Handlers default
 /// to no-ops so observers override only what they need.
@@ -48,15 +54,6 @@ public:
   virtual void onMemAccess(uint64_t Addr, bool IsStore) {
     (void)Addr;
     (void)IsStore;
-  }
-
-  /// A run of \p Count accesses (one lowered MemAccessSpec's worth) with the
-  /// given direction. The bulk form of onMemAccess used by the batched
-  /// engine; the default unrolls to per-access events so observers that only
-  /// implement onMemAccess see an unchanged stream.
-  virtual void onMemRun(const uint64_t *Addrs, uint32_t Count, bool IsStore) {
-    for (uint32_t I = 0; I < Count; ++I)
-      onMemAccess(Addrs[I], IsStore);
   }
 
   /// A branch at \p Pc targeting \p Target executed. \p Backward is true
@@ -81,26 +78,12 @@ public:
 
   /// Execution finished after \p TotalInstrs retired instructions.
   virtual void onRunEnd(uint64_t TotalInstrs) { (void)TotalInstrs; }
-
-  /// A flushed chunk of the batched event stream (Interpreter::runBatched).
-  /// The default replays the batch through the per-event virtual handlers in
-  /// exact stream order, so batching is transparent to existing observers —
-  /// including ObserverMux, whose per-event fan-out keeps the documented
-  /// observer-ordering guarantee intact under batching. Override only to
-  /// consume whole batches natively.
-  virtual void onEvents(const EventBatch &EB);
 };
 
-/// Broadcasts each event to a list of observers in registration order.
+/// Broadcasts each event to a list of observers in registration order, so
+/// each event reaches every observer before the next event is delivered.
 /// Order matters: e.g. the call-loop tracker must see a block before the
 /// interval builder accounts it, so marker-driven cuts land between them.
-///
-/// Deliberately does NOT override onMemRun or onEvents: the inherited
-/// defaults decompose bulk records back into per-event virtual calls, so
-/// each event is fanned out to all observers before the next one is
-/// delivered — identical interleaving to the unbatched engine. Overriding
-/// either to forward whole runs/batches per observer would reorder events
-/// across observers and break the guarantee above.
 class ObserverMux : public ExecutionObserver {
 public:
   ObserverMux() = default;
@@ -142,6 +125,233 @@ public:
 
 private:
   std::vector<ExecutionObserver *> Obs;
+};
+
+//===----------------------------------------------------------------------===//
+// Static-dispatch traits and helpers
+//===----------------------------------------------------------------------===//
+
+/// Compile-time facts about a concrete observer type: which handlers it
+/// provides *itself* (as opposed to inheriting the ExecutionObserver
+/// no-ops). A handler inherited from ExecutionObserver has pointer-to-member
+/// type `void (ExecutionObserver::*)(...)`, an overridden or own handler has
+/// the derived class in that position — which is what lets the emitter drop
+/// whole event kinds an observer ignores. Types that do not derive from
+/// ExecutionObserver (StaticMux, custom sinks) simply provide the handlers
+/// they want; missing ones count as "not handled".
+///
+/// onMemRun(const uint64_t *Addrs, uint32_t Count, bool IsStore) is the
+/// optional bulk form of onMemAccess: one call per lowered MemAccessSpec's
+/// run of accesses. ExecutionObserver has no such handler, so any one found
+/// is the type's own.
+template <class Obs> struct ObserverTraits {
+  template <class M, class Base>
+  static constexpr bool ownImpl =
+      !std::is_same_v<M, Base>; // Derived-typed pointer => own handler.
+
+  static constexpr bool OwnRunStart = requires {
+    requires ownImpl<decltype(&Obs::onRunStart),
+                     void (ExecutionObserver::*)(const Binary &,
+                                                 const WorkloadInput &)>;
+  };
+  static constexpr bool OwnBlock = requires {
+    requires ownImpl<decltype(&Obs::onBlock),
+                     void (ExecutionObserver::*)(const LoweredBlock &)>;
+  };
+  static constexpr bool OwnMemAccess = requires {
+    requires ownImpl<decltype(&Obs::onMemAccess),
+                     void (ExecutionObserver::*)(uint64_t, bool)>;
+  };
+  static constexpr bool OwnMemRun = requires { &Obs::onMemRun; };
+  static constexpr bool OwnBranch = requires {
+    requires ownImpl<decltype(&Obs::onBranch),
+                     void (ExecutionObserver::*)(uint64_t, uint64_t, bool,
+                                                 bool, bool)>;
+  };
+  static constexpr bool OwnCall = requires {
+    requires ownImpl<decltype(&Obs::onCall),
+                     void (ExecutionObserver::*)(uint64_t, uint32_t)>;
+  };
+  static constexpr bool OwnReturn = requires {
+    requires ownImpl<decltype(&Obs::onReturn),
+                     void (ExecutionObserver::*)(uint32_t)>;
+  };
+  static constexpr bool OwnRunEnd = requires {
+    requires ownImpl<decltype(&Obs::onRunEnd),
+                     void (ExecutionObserver::*)(uint64_t)>;
+  };
+};
+
+/// The polymorphic base itself, which Interpreter::run() instantiates the
+/// emitter on: the dynamic type may override any handler, so every one
+/// counts as owned and is called virtually (see the dispatch helpers).
+/// onMemRun is not part of the virtual interface, so memory accesses
+/// arrive one onMemAccess call at a time.
+template <> struct ObserverTraits<ExecutionObserver> {
+  static constexpr bool OwnRunStart = true;
+  static constexpr bool OwnBlock = true;
+  static constexpr bool OwnMemAccess = true;
+  static constexpr bool OwnMemRun = false;
+  static constexpr bool OwnBranch = true;
+  static constexpr bool OwnCall = true;
+  static constexpr bool OwnReturn = true;
+  static constexpr bool OwnRunEnd = true;
+};
+
+// Handler dispatch. A concrete observer's handler is called qualified
+// (O.Obs::handler), which suppresses virtual dispatch, so \p Obs must be the
+// most-derived type of the object — which it is for the concrete observers
+// the fast paths name. ExecutionObserver itself is called virtually: a
+// qualified call would bind to the base no-ops and drop every event.
+
+template <class Obs>
+inline constexpr bool IsObserverBase = std::is_same_v<Obs, ExecutionObserver>;
+
+template <class Obs>
+inline void dispatchRunStart(Obs &O, const Binary &B,
+                             const WorkloadInput &In) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onRunStart(B, In);
+  else if constexpr (ObserverTraits<Obs>::OwnRunStart)
+    O.Obs::onRunStart(B, In);
+}
+
+template <class Obs>
+inline void dispatchBlock(Obs &O, const LoweredBlock &Blk) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onBlock(Blk);
+  else if constexpr (ObserverTraits<Obs>::OwnBlock)
+    O.Obs::onBlock(Blk);
+}
+
+template <class Obs>
+inline void dispatchMemAccess(Obs &O, uint64_t Addr, bool IsStore) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onMemAccess(Addr, IsStore);
+  else if constexpr (ObserverTraits<Obs>::OwnMemAccess)
+    O.Obs::onMemAccess(Addr, IsStore);
+}
+
+/// Delivers a run of accesses in bulk when \p Obs has onMemRun, else one
+/// access at a time.
+template <class Obs>
+inline void dispatchMemRun(Obs &O, const uint64_t *Addrs, uint32_t Count,
+                           bool IsStore) {
+  if constexpr (ObserverTraits<Obs>::OwnMemRun)
+    O.Obs::onMemRun(Addrs, Count, IsStore);
+  else if constexpr (ObserverTraits<Obs>::OwnMemAccess)
+    for (uint32_t I = 0; I < Count; ++I)
+      dispatchMemAccess(O, Addrs[I], IsStore);
+}
+
+template <class Obs>
+inline void dispatchBranch(Obs &O, uint64_t Pc, uint64_t Target, bool Taken,
+                           bool Backward, bool Conditional) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onBranch(Pc, Target, Taken, Backward, Conditional);
+  else if constexpr (ObserverTraits<Obs>::OwnBranch)
+    O.Obs::onBranch(Pc, Target, Taken, Backward, Conditional);
+}
+
+template <class Obs>
+inline void dispatchCall(Obs &O, uint64_t SiteAddr, uint32_t Callee) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onCall(SiteAddr, Callee);
+  else if constexpr (ObserverTraits<Obs>::OwnCall)
+    O.Obs::onCall(SiteAddr, Callee);
+}
+
+template <class Obs> inline void dispatchReturn(Obs &O, uint32_t Callee) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onReturn(Callee);
+  else if constexpr (ObserverTraits<Obs>::OwnReturn)
+    O.Obs::onReturn(Callee);
+}
+
+template <class Obs> inline void dispatchRunEnd(Obs &O, uint64_t Total) {
+  if constexpr (IsObserverBase<Obs>)
+    O.onRunEnd(Total);
+  else if constexpr (ObserverTraits<Obs>::OwnRunEnd)
+    O.Obs::onRunEnd(Total);
+}
+
+/// Whether \p Obs consumes memory-access events at all. StaticMux exposes
+/// the aggregate over its members as AnyMem; plain observers are probed via
+/// ObserverTraits. When false, the interpreter skips materializing
+/// addresses altogether (see Interpreter::skipAccesses).
+template <class Obs> constexpr bool wantsMemEvents() {
+  if constexpr (requires { Obs::AnyMem; })
+    return Obs::AnyMem;
+  else
+    return ObserverTraits<Obs>::OwnMemRun || ObserverTraits<Obs>::OwnMemAccess;
+}
+
+/// A compile-time observer pipeline: forwards every event to each observer
+/// in declaration order with statically-bound calls. The drop-in
+/// devirtualized replacement for an ObserverMux whose member set is known
+/// at the call site. Usable directly as an Interpreter::runFast() sink.
+template <class... Os> class StaticMux {
+public:
+  /// True when any member consumes memory accesses (see wantsMemEvents).
+  static constexpr bool AnyMem =
+      ((ObserverTraits<Os>::OwnMemRun || ObserverTraits<Os>::OwnMemAccess) ||
+       ...);
+  /// How many members consume memory accesses; decides whether mem runs
+  /// can be fanned out run-at-a-time (<= 1) or must interleave per address
+  /// to preserve the ObserverMux ordering contract (>= 2).
+  static constexpr int NumMem =
+      (int{ObserverTraits<Os>::OwnMemRun || ObserverTraits<Os>::OwnMemAccess} +
+       ... + 0);
+
+  explicit StaticMux(Os &...O) : Obs(O...) {}
+
+  void onRunStart(const Binary &B, const WorkloadInput &In) {
+    std::apply([&](Os &...O) { (dispatchRunStart(O, B, In), ...); }, Obs);
+  }
+  void onBlock(const LoweredBlock &Blk) {
+    std::apply([&](Os &...O) { (dispatchBlock(O, Blk), ...); }, Obs);
+  }
+  void onMemRun(const uint64_t *Addrs, uint32_t Count, bool IsStore) {
+    if constexpr (NumMem >= 2) {
+      // Two or more members consume memory events: fan out address by
+      // address so every member sees access N before any member sees
+      // access N+1 — the exact ObserverMux interleave. With a single
+      // consumer the orders are indistinguishable, so the bulk form below
+      // keeps the run-level fast path.
+      for (uint32_t I = 0; I < Count; ++I)
+        std::apply(
+            [&](Os &...O) { (dispatchMemRun(O, Addrs + I, 1, IsStore), ...); },
+            Obs);
+    } else {
+      std::apply(
+          [&](Os &...O) { (dispatchMemRun(O, Addrs, Count, IsStore), ...); },
+          Obs);
+    }
+  }
+  void onMemAccess(uint64_t Addr, bool IsStore) {
+    dispatchMemRun(*this, &Addr, 1, IsStore);
+  }
+  void onBranch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
+                bool Conditional) {
+    std::apply(
+        [&](Os &...O) {
+          (dispatchBranch(O, Pc, Target, Taken, Backward, Conditional), ...);
+        },
+        Obs);
+  }
+  void onCall(uint64_t SiteAddr, uint32_t Callee) {
+    std::apply([&](Os &...O) { (dispatchCall(O, SiteAddr, Callee), ...); },
+               Obs);
+  }
+  void onReturn(uint32_t Callee) {
+    std::apply([&](Os &...O) { (dispatchReturn(O, Callee), ...); }, Obs);
+  }
+  void onRunEnd(uint64_t Total) {
+    std::apply([&](Os &...O) { (dispatchRunEnd(O, Total), ...); }, Obs);
+  }
+
+private:
+  std::tuple<Os &...> Obs;
 };
 
 } // namespace spm

@@ -147,8 +147,8 @@ inline void expectMarkerIdentity(const Binary &B, const BytecodeModule &M,
                                  const std::string &Ctx) {
   LoopIndex Loops = LoopIndex::build(B);
   auto GFast = buildCallLoopGraph(B, Loops, In, Cap);
-  auto GPlain = buildCallLoopGraph(B, Loops, In, Cap, nullptr, &M);
-  auto GFused = buildCallLoopGraph(B, Loops, In, Cap, nullptr, &F);
+  auto GPlain = buildCallLoopGraph(B, Loops, In, Cap, &M);
+  auto GFused = buildCallLoopGraph(B, Loops, In, Cap, &F);
   EXPECT_EQ(printGraph(*GFast), printGraph(*GPlain)) << Ctx << " (bytecode)";
   EXPECT_EQ(printGraph(*GFast), printGraph(*GFused)) << Ctx << " (fused)";
 

@@ -125,10 +125,8 @@ TEST(BytecodeFuzz, GraphDumpDifferential) {
 
     BytecodeModule F = fuseBytecode(*B, M);
     auto GTree = buildCallLoopGraph(*B, Loops, In, FuzzCap);
-    auto GBc = buildCallLoopGraph(*B, Loops, In, FuzzCap,
-                                  /*Extra=*/nullptr, &M);
-    auto GFz = buildCallLoopGraph(*B, Loops, In, FuzzCap,
-                                  /*Extra=*/nullptr, &F);
+    auto GBc = buildCallLoopGraph(*B, Loops, In, FuzzCap, &M);
+    auto GFz = buildCallLoopGraph(*B, Loops, In, FuzzCap, &F);
     EXPECT_EQ(printGraph(*GTree), printGraph(*GBc))
         << "program " << Seed;
     EXPECT_EQ(printGraph(*GTree), printGraph(*GFz))

@@ -1,12 +1,12 @@
-//===- tests/engine_test.cpp - batched engine differential tests ----------==//
+//===- tests/engine_test.cpp - event-delivery differential tests ----------==//
 //
-// Proves the batched event-stream engine (runBatched / runFast) produces
-// output byte-identical to the legacy per-event-virtual-call path (run) on
-// real workloads, across every derived artifact the pipeline computes:
-// call-loop graph dumps, fixed-interval BBV streams, marker interval
-// streams, and cache statistics. Also covers the ObserverMux/StaticMux
-// ordering guarantee under batching and the zero-weight call-candidate
-// fallback.
+// Proves the virtual entry point (run, which is runFast instantiated on
+// ExecutionObserver) produces output byte-identical to runFast on the
+// concrete observer types, on real workloads, across every derived
+// artifact the pipeline computes: call-loop graph dumps, fixed-interval BBV
+// streams, marker interval streams, and cache statistics. Also pins that
+// run() dispatches virtually through the base, the ObserverMux/StaticMux
+// ordering guarantee, and the zero-weight call-candidate fallback.
 //
 //===----------------------------------------------------------------------==//
 
@@ -27,8 +27,8 @@ using namespace spm;
 
 namespace {
 
-/// Instruction cap: large enough to exercise thousands of batch flushes,
-/// small enough to keep the suite fast. Deliberately truncates every
+/// Instruction cap: large enough to cover millions of events, small enough
+/// to keep the suite fast. Deliberately truncates every
 /// workload mid-run so the differential also covers limit-hit paths.
 constexpr uint64_t Cap = 1'500'000;
 
@@ -93,13 +93,12 @@ void expectSameRun(const RunResult &A, const RunResult &B,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Differential: batched engine vs legacy per-event path
+// Differential: virtual run() vs devirtualized runFast
 //===----------------------------------------------------------------------===//
 
-// Call-loop graph dump: legacy (tracker + GraphProfiler listener under
-// per-event run) vs dense-id fast path (setProfileTarget + runFast) vs
-// batched virtual dispatch (runBatched). All three dumps must be
-// byte-identical.
+// Call-loop graph dump: tracker + GraphProfiler listener under run() vs
+// the dense-id fast path (setProfileTarget + runFast) vs the listener stack
+// under runFast. All three dumps must be byte-identical.
 TEST(EngineDifferential, CallLoopGraphDump) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
@@ -129,13 +128,13 @@ TEST(EngineDifferential, CallLoopGraphDump) {
       CallLoopTracker T(*B, Loops, G3);
       GraphProfiler Prof(G3);
       T.addListener(&Prof);
-      Interpreter(*B, RC.In).runBatched(T, Cap);
+      Interpreter(*B, RC.In).runFast(T, Cap);
       G3.finalize();
     }
 
     std::string D1 = printGraph(G1);
     EXPECT_EQ(D1, printGraph(G2)) << RC.Name << " (fast path)";
-    EXPECT_EQ(D1, printGraph(G3)) << RC.Name << " (batched virtual)";
+    EXPECT_EQ(D1, printGraph(G3)) << RC.Name << " (fast listener)";
   }
 }
 
@@ -210,22 +209,18 @@ TEST(EngineDifferential, MarkerIntervalsAndFirings) {
   }
 }
 
-// Whole-run cache statistics: PerfModel alone under all three dispatch
-// strategies.
+// Whole-run cache statistics: PerfModel alone under run() and runFast.
 TEST(EngineDifferential, CacheStats) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
         RC.Name.substr(0, RC.Name.find('/')));
     auto B = lower(*W.Program, LoweringOptions::O2());
 
-    PerfModel P1, P2, P3;
+    PerfModel P1, P2;
     RunResult R1 = Interpreter(*B, RC.In).run(P1, Cap);
     RunResult R2 = Interpreter(*B, RC.In).runFast(P2, Cap);
-    RunResult R3 = Interpreter(*B, RC.In).runBatched(P3, Cap);
-    expectSameRun(R1, R2, RC.Name + " (fast)");
-    expectSameRun(R1, R3, RC.Name + " (batched)");
-    expectSameCounters(P1.counters(), P2.counters(), RC.Name + " (fast)");
-    expectSameCounters(P1.counters(), P3.counters(), RC.Name + " (batched)");
+    expectSameRun(R1, R2, RC.Name);
+    expectSameCounters(P1.counters(), P2.counters(), RC.Name);
   }
 }
 
@@ -283,22 +278,40 @@ struct BlockLog {
 
 } // namespace
 
-// The batched virtual path must deliver the exact legacy event stream —
-// same events, same order, same addresses — including on truncated runs.
-TEST(EngineDifferential, EventStreamByteIdentical) {
+// run() instantiates the emitter on ExecutionObserver, so every handler
+// must be called virtually through the base. Were the emitter to bind
+// qualified calls to ExecutionObserver's own no-op handlers instead, the
+// run totals would still match but no event would arrive — so the
+// delivered streams and counters are compared against runFast on the
+// concrete type, on full and truncated runs. PerfModel has an onMemRun of
+// its own, which the virtual interface lacks: run() must still feed it
+// every access through onMemAccess.
+TEST(EngineDispatch, RunDeliversThroughBaseReference) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   for (uint64_t Limit : {Cap, uint64_t(123'456)}) {
-    RecordingObserver Legacy, Batched;
-    RunResult R1 = Interpreter(*B, W.Ref).run(Legacy, Limit);
-    RunResult R2 = Interpreter(*B, W.Ref).runBatched(Batched, Limit);
-    expectSameRun(R1, R2, "stream");
-    ASSERT_EQ(Legacy.Events.size(), Batched.Events.size());
-    EXPECT_TRUE(Legacy.Events == Batched.Events);
+    std::string Ctx = "limit " + std::to_string(Limit);
+    RecordingObserver Concrete, Virtual;
+    ExecutionObserver &VirtualBase = Virtual;
+    RunResult R1 = Interpreter(*B, W.Ref).runFast(Concrete, Limit);
+    RunResult R2 = Interpreter(*B, W.Ref).run(VirtualBase, Limit);
+    expectSameRun(R1, R2, Ctx);
+    ASSERT_FALSE(Concrete.Events.empty()) << Ctx;
+    ASSERT_EQ(Concrete.Events.size(), Virtual.Events.size()) << Ctx;
+    EXPECT_TRUE(Concrete.Events == Virtual.Events) << Ctx;
+
+    PerfModel PConcrete, PVirtual;
+    ExecutionObserver &PerfBase = PVirtual;
+    RunResult R3 = Interpreter(*B, W.Ref).runFast(PConcrete, Limit);
+    RunResult R4 = Interpreter(*B, W.Ref).run(PerfBase, Limit);
+    expectSameRun(R3, R4, Ctx + " (perf)");
+    ASSERT_GT(PConcrete.counters().L1Accesses, 0u) << Ctx;
+    expectSameCounters(PConcrete.counters(), PVirtual.counters(),
+                       Ctx + " (perf)");
   }
 }
 
-// Mem-event skipping (WantsMem=false) must not perturb the shared RNG
+// Mem-event skipping (wantsMemEvents false) must not perturb the shared RNG
 // stream: the block trace and run totals stay identical to a full run.
 TEST(EngineDifferential, MemSkipPreservesControlFlow) {
   for (const RunCase &RC : differentialCases()) {
@@ -322,7 +335,7 @@ TEST(EngineDifferential, MemSkipPreservesControlFlow) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ordering guarantees under batching
+// Ordering guarantees
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -365,32 +378,23 @@ private:
 
 } // namespace
 
-// ObserverMux under runBatched and StaticMux under runFast must both
-// reproduce the legacy interleave: for every event, observer 1 sees it
-// before observer 2, and no event is reordered across observers. This is
-// the contract runMarkerIntervals relies on (tracker fires marker cuts
-// before the interval builder accounts the block).
-TEST(EngineOrdering, MuxInterleaveSurvivesBatching) {
+// ObserverMux under run() and StaticMux under runFast must produce the same
+// interleave: for every event, observer 1 sees it before observer 2, and no
+// event is reordered across observers. This is the contract
+// runMarkerIntervals relies on (tracker fires marker cuts before the
+// interval builder accounts the block).
+TEST(EngineOrdering, ObserverMuxAndStaticMuxInterleaveAlike) {
   Workload W = WorkloadRegistry::create("gzip");
   auto B = lower(*W.Program, LoweringOptions::O2());
   constexpr uint64_t Limit = 200'000;
 
-  std::vector<TaggedObserver::Entry> LegacyLog;
+  std::vector<TaggedObserver::Entry> VirtualLog;
   {
-    TaggedObserver A(1, LegacyLog), C(2, LegacyLog);
+    TaggedObserver A(1, VirtualLog), C(2, VirtualLog);
     ObserverMux Mux;
     Mux.add(&A);
     Mux.add(&C);
     Interpreter(*B, W.Ref).run(Mux, Limit);
-  }
-
-  std::vector<TaggedObserver::Entry> BatchedLog;
-  {
-    TaggedObserver A(1, BatchedLog), C(2, BatchedLog);
-    ObserverMux Mux;
-    Mux.add(&A);
-    Mux.add(&C);
-    Interpreter(*B, W.Ref).runBatched(Mux, Limit);
   }
 
   std::vector<TaggedObserver::Entry> StaticLog;
@@ -400,18 +404,16 @@ TEST(EngineOrdering, MuxInterleaveSurvivesBatching) {
     Interpreter(*B, W.Ref).runFast(Mux, Limit);
   }
 
-  ASSERT_FALSE(LegacyLog.empty());
-  EXPECT_TRUE(LegacyLog == BatchedLog) << "ObserverMux reordered under "
-                                          "batching";
-  EXPECT_TRUE(LegacyLog == StaticLog) << "StaticMux reordered under "
-                                         "devirtualized replay";
+  ASSERT_FALSE(VirtualLog.empty());
+  EXPECT_TRUE(VirtualLog == StaticLog) << "StaticMux reordered under "
+                                         "devirtualized dispatch";
   // Spot-check the pairwise property directly: entries alternate 1,2 with
   // identical (kind, payload) pairs.
-  for (size_t I = 0; I + 1 < LegacyLog.size(); I += 2) {
-    EXPECT_EQ(LegacyLog[I].Tag, 1);
-    EXPECT_EQ(LegacyLog[I + 1].Tag, 2);
-    EXPECT_EQ(LegacyLog[I].Kind, LegacyLog[I + 1].Kind);
-    EXPECT_EQ(LegacyLog[I].Payload, LegacyLog[I + 1].Payload);
+  for (size_t I = 0; I + 1 < VirtualLog.size(); I += 2) {
+    EXPECT_EQ(VirtualLog[I].Tag, 1);
+    EXPECT_EQ(VirtualLog[I + 1].Tag, 2);
+    EXPECT_EQ(VirtualLog[I].Kind, VirtualLog[I + 1].Kind);
+    EXPECT_EQ(VirtualLog[I].Payload, VirtualLog[I + 1].Payload);
   }
 }
 
@@ -464,8 +466,8 @@ TEST(Interpreter, ZeroWeightCallCandidatesFallBackToUniform) {
   EXPECT_GT(N1, 0u);
   EXPECT_GT(N2, 0u);
 
-  // The batched engine takes the same fallback branch.
+  // The devirtualized engine takes the same fallback branch.
   CallCounter Counter2;
-  Interpreter(*B, In).runBatched(Counter2, Cap);
+  Interpreter(*B, In).runFast(Counter2, Cap);
   EXPECT_EQ(Counter.Counts, Counter2.Counts);
 }

@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
+
 using namespace spm;
 
 namespace {
@@ -94,6 +100,91 @@ TEST(ProfileIO, RejectsMalformedInput) {
     EXPECT_FALSE(parseProfile(Text, &Err).has_value()) << Text;
     EXPECT_FALSE(Err.empty());
   }
+}
+
+namespace {
+
+/// \p Text with field \p Field (0 = the "edge" keyword) of its first edge
+/// line replaced by \p Value, or with \p Value appended when \p Field is
+/// past the last field.
+std::string withEdgeField(const std::string &Text, size_t Field,
+                          const std::string &Value) {
+  size_t Begin = Text.find("\nedge ") + 1;
+  size_t End = Text.find('\n', Begin);
+  std::istringstream SS(Text.substr(Begin, End - Begin));
+  std::vector<std::string> F;
+  for (std::string T; SS >> T;)
+    F.push_back(T);
+  if (Field < F.size())
+    F[Field] = Value;
+  else
+    F.push_back(Value);
+  std::string Line;
+  for (const std::string &T : F)
+    Line += (Line.empty() ? "" : " ") + T;
+  return Text.substr(0, Begin) + Line + Text.substr(End);
+}
+
+double edgeField(const std::string &Text, size_t Field) {
+  size_t Begin = Text.find("\nedge ") + 1;
+  std::istringstream SS(Text.substr(Begin, Text.find('\n', Begin) - Begin));
+  std::string T;
+  for (size_t I = 0; I <= Field; ++I)
+    SS >> T;
+  return std::stod(T);
+}
+
+std::string fmt(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  return Buf;
+}
+
+} // namespace
+
+// Edge moments a RunningStat cannot hold must be rejected with a named
+// diagnostic, not turned into a silently wrong selection: a NaN M2 alone
+// used to make the selector's CoV threshold NaN.
+TEST(ProfileIO, RejectsInconsistentMoments) {
+  Profiled P;
+  std::string Text = serializeProfile(*P.G, *P.Bin, P.Loops);
+  // Fields: edge from to count mean m2 sum max min.
+  double Mean = edgeField(Text, 4), Sum = edgeField(Text, 6),
+         Max = edgeField(Text, 7);
+  struct Case {
+    size_t Field;
+    std::string Value;
+    const char *Slug;
+  } Cases[] = {
+      {5, "nan", "profile[nonfinite]"},
+      {4, "inf", "profile[nonfinite]"},
+      {6, "-inf", "profile[nonfinite]"},
+      {5, "-1", "profile[m2]"},
+      {4, fmt(Max + 1), "profile[range]"},
+      {8, fmt(Mean + 1), "profile[range]"},
+      {6, fmt(2 * Sum + 1), "profile[sum]"},
+      {9, "trailing-garbage", "profile[trailing]"},
+  };
+  for (const Case &C : Cases) {
+    std::string Bad = withEdgeField(Text, C.Field, C.Value);
+    std::string Err;
+    EXPECT_FALSE(parseProfile(Bad, &Err).has_value())
+        << C.Slug << " via field " << C.Field << " = " << C.Value;
+    EXPECT_NE(Err.find(C.Slug), std::string::npos) << Err;
+  }
+}
+
+// Welford's mean and the plain running sum differ in the last bits, so a
+// sum a few ULPs off count * mean is a valid profile.
+TEST(ProfileIO, ToleratesRoundingInSum) {
+  Profiled P;
+  std::string Text = serializeProfile(*P.G, *P.Bin, P.Loops);
+  double Sum = edgeField(Text, 6);
+  for (int I = 0; I < 4; ++I)
+    Sum = std::nextafter(Sum, HUGE_VAL);
+  std::string Err;
+  EXPECT_TRUE(parseProfile(withEdgeField(Text, 6, fmt(Sum)), &Err).has_value())
+      << Err;
 }
 
 TEST(ProfileIO, CommentsTolerated) {

@@ -84,12 +84,9 @@ int usage() {
       "                  [--ilower N] [--limit N]]\n"
       "common: --jobs N parallelizes independent runs (0 = all cores;\n"
       "        SPM_JOBS is the environment fallback)\n"
-      "        --engine tree|bytecode|bytecode-fused picks the execution\n"
-      "        tier (default tree); outputs are byte-identical across\n"
-      "        tiers. bytecode runs the superop-fused module (the fastest\n"
-      "        tier); bytecode-fused is an explicit alias. --no-fuse runs\n"
-      "        the unfused bytecode module instead and is only meaningful\n"
-      "        with --engine=bytecode\n"
+      "        --engine tree|bytecode picks the execution tier (default\n"
+      "        tree); outputs are byte-identical across tiers. bytecode\n"
+      "        runs the superop-fused bytecode module (the fastest tier)\n"
       "        --trace-out FILE enables spmtrace and writes a Chrome\n"
       "        trace_event JSON timeline (chrome://tracing / Perfetto)\n"
       "        --metrics-out FILE enables spmtrace and writes the metrics\n"
@@ -103,10 +100,11 @@ int usage() {
       "        when a command dies on an unhandled exception or injected\n"
       "        fault, a flight-recorder crash dump lands next to -o as\n"
       "        <out>.crash.json (docs/observability.md)\n"
-      "bench --profile measures per-stage event throughput of the legacy\n"
-      "per-event engine vs the batched engine; JSON lands in\n"
-      "BENCH_engine.json unless -o overrides it; the sharded-execution\n"
-      "stage additionally writes BENCH_shard.json\n");
+      "bench --profile measures per-stage event throughput of the virtual\n"
+      "run() path (legacy arm) vs runFast (engine arm) and the plain and\n"
+      "fused bytecode tiers; JSON lands in BENCH_engine.json unless -o\n"
+      "overrides it; the sharded-execution stage additionally writes\n"
+      "BENCH_shard.json\n");
   return 2;
 }
 
@@ -199,7 +197,6 @@ struct CommonArgs {
   std::string MetricsOut;
   std::string Failpoints;
   std::string Engine = "tree";
-  bool NoFuse = false;
   std::vector<std::pair<std::string, int64_t>> Params;
   uint64_t Seed = 1;
   bool SplitIrreducible = false;
@@ -258,15 +255,12 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
     } else if (valueOpt(Arg, "--failpoints", I, Argc, Argv, V)) {
       A.Failpoints = V;
     } else if (valueOpt(Arg, "--engine", I, Argc, Argv, V)) {
-      if (V != "tree" && V != "bytecode" && V != "bytecode-fused") {
-        std::fprintf(stderr,
-                     "unknown engine %s (tree|bytecode|bytecode-fused)\n",
+      if (V != "tree" && V != "bytecode") {
+        std::fprintf(stderr, "unknown engine %s (tree|bytecode)\n",
                      V.c_str());
         A.Bad = true;
       }
       A.Engine = V;
-    } else if (Arg == "--no-fuse") {
-      A.NoFuse = true;
     } else if (valueOpt(Arg, "--param", I, Argc, Argv, V)) {
       size_t Eq = V.find('=');
       if (Eq == std::string::npos || Eq == 0) {
@@ -298,18 +292,6 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
       A.Positional.push_back(Arg);
     }
   }
-  // --no-fuse only modifies the bytecode tier; combining it with a tier
-  // that has no fusion pass (tree) or one that demands fusion by name
-  // (bytecode-fused) is a contradiction, not a preference.
-  if (A.NoFuse && A.Engine == "tree") {
-    std::fprintf(stderr, "--no-fuse requires --engine=bytecode "
-                         "(the tree tier has no fusion pass)\n");
-    A.Bad = true;
-  } else if (A.NoFuse && A.Engine == "bytecode-fused") {
-    std::fprintf(stderr, "contradictory flags: --no-fuse with "
-                         "--engine=bytecode-fused\n");
-    A.Bad = true;
-  }
   return A;
 }
 
@@ -318,8 +300,7 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
 /// re-run the command and to tell artifacts from differently-configured
 /// runs apart. One JSON object, no trailing newline.
 std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
-  bool Fused = (A.Engine == "bytecode" && !A.NoFuse) ||
-               A.Engine == "bytecode-fused";
+  bool Fused = A.Engine == "bytecode";
   std::string Out = "{\"format_version\": 1";
   Out += ", \"tool\": \"spm_tool\"";
   Out += ", \"command\": \"" + jsonEscape(Cmd) + "\"";
@@ -339,19 +320,16 @@ std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
   return Out;
 }
 
-/// Compiles \p Bin to bytecode when a bytecode engine was selected;
-/// returns null for the tree tier. Every driver takes the module as an
-/// optional pointer, so a null return selects the default path untouched.
-/// The bytecode tier runs the superop-fused module unless --no-fuse asked
-/// for the plain one; both produce byte-identical event streams.
+/// Compiles \p Bin to the superop-fused bytecode module when the bytecode
+/// tier was selected; returns null for the tree tier. Every driver takes
+/// the module as an optional pointer, so a null return selects the default
+/// path untouched.
 std::unique_ptr<BytecodeModule> makeEngine(const CommonArgs &A,
                                            const Binary &Bin) {
-  if (A.Engine != "bytecode" && A.Engine != "bytecode-fused")
+  if (A.Engine != "bytecode")
     return nullptr;
-  BytecodeModule M = compileBytecode(Bin);
-  if (!A.NoFuse)
-    M = fuseBytecode(Bin, std::move(M));
-  return std::make_unique<BytecodeModule>(std::move(M));
+  return std::make_unique<BytecodeModule>(
+      fuseBytecode(Bin, compileBytecode(Bin)));
 }
 
 int cmdList() {
@@ -372,8 +350,7 @@ int cmdProfile(const CommonArgs &A) {
   LoopIndex Loops = LoopIndex::build(*Bin);
   auto Bc = makeEngine(A, *Bin);
   auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc.get());
+                              std::numeric_limits<uint64_t>::max(), Bc.get());
   if (!writeOutput(A.OutPath, serializeProfile(*G, *Bin, Loops))) {
     std::fprintf(stderr, "profile: cannot write %s\n", A.OutPath.c_str());
     return 1;
@@ -552,7 +529,7 @@ int cmdBench(const CommonArgs &A) {
 }
 
 /// Sink with no handlers: the devirtualized engine at its emptiest —
-/// measures raw interpreter fill/replay cost.
+/// measures raw interpreter cost.
 struct NullSink {};
 
 /// Counts every event in the stream (the events/sec denominator).
@@ -565,9 +542,9 @@ struct EventCounter : ExecutionObserver {
   void onReturn(uint32_t) override { ++Events; }
 };
 
-/// `spm_tool bench --profile`: per-stage event throughput of the legacy
-/// per-event engine vs the batched/devirtualized engine, on identical
-/// streams. Times are best-of---reps, summed over workloads; events/sec
+/// `spm_tool bench --profile`: per-stage event throughput of the virtual
+/// run() path (legacy arm) vs the devirtualized runFast engine and the
+/// plain and fused bytecode tiers, on identical streams. Times are best-of---reps, summed over workloads; events/sec
 /// divides the total event count (blocks + memory accesses + branches +
 /// calls + returns) by stage time. JSON goes to BENCH_engine.json (or -o).
 int cmdBenchProfile(const CommonArgs &A) {
@@ -1330,8 +1307,7 @@ int cmdDot(const CommonArgs &A) {
   LoopIndex Loops = LoopIndex::build(*Bin);
   auto Bc = makeEngine(A, *Bin);
   auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(),
-                              /*Extra=*/nullptr, Bc.get());
+                              std::numeric_limits<uint64_t>::max(), Bc.get());
   return writeOutput(A.OutPath, printGraphDot(*G)) ? 0 : 1;
 }
 
@@ -1404,8 +1380,7 @@ int cmdImport(const CommonArgs &A) {
     LoopIndex Loops = LoopIndex::build(*Bin);
     auto Bc = makeEngine(A, *Bin);
     auto G = buildCallLoopGraph(*Bin, Loops, In,
-                                std::numeric_limits<uint64_t>::max(),
-                                /*Extra=*/nullptr, Bc.get());
+                                std::numeric_limits<uint64_t>::max(), Bc.get());
     SelectionResult Sel = selectMarkers(*G, A.Config);
     MarkerRun Run = runMarkerIntervals(
         *Bin, Loops, *G, Sel.Markers, In,
