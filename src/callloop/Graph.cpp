@@ -85,15 +85,6 @@ std::vector<const CallLoopEdge *> CallLoopGraph::sortedEdges() const {
   return Out;
 }
 
-void CallLoopGraph::mergeFrom(const CallLoopGraph &O) {
-  assert(!Finalized && "graph already finalized");
-  assert(Nodes.size() == O.Nodes.size() &&
-         "merging graphs over different node numberings");
-  // Deterministic merge order regardless of O's interning order.
-  for (const CallLoopEdge *E : O.sortedEdges())
-    edgeRef(E->From, E->To).Hier.merge(E->Hier);
-}
-
 void CallLoopGraph::finalize() {
   assert(!Finalized && "finalize called twice");
   Incoming.assign(Nodes.size(), {});

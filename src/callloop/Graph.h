@@ -149,15 +149,6 @@ public:
     return Outgoing[Id];
   }
 
-  /// Merges another graph's edge statistics into this one via the parallel
-  /// Welford merge (RunningStat::merge): counts, sums, and maxima combine
-  /// exactly; means and M2 combine in floating point, so the result is
-  /// statistically exact but not bit-identical to sequential accumulation.
-  /// Sharded profiling that needs byte-identical dumps replays ordered
-  /// traversal logs instead (see markers/Sharded.h); this is for cheap
-  /// approximate aggregation. \p O must be over the same node numbering.
-  void mergeFrom(const CallLoopGraph &O);
-
   /// Freezes the edge set and builds adjacency lists.
   void finalize();
   bool finalized() const { return Finalized; }

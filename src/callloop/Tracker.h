@@ -64,8 +64,8 @@ public:
 /// Mutable state of a CallLoopTracker at a segment boundary: the shadow
 /// stack (with each open frame's partial hierarchical count) and the
 /// per-function activation depths. Carrying the open frames is what makes
-/// boundary-spanning traversals exact under sharding — the closing shard
-/// finishes the count the opening shard started.
+/// boundary-spanning traversals exact across a checkpoint — the closing
+/// segment finishes the count the opening segment started.
 struct TrackerCheckpoint {
   struct FrameState {
     uint8_t K = 0; ///< NodeKind.
@@ -121,7 +121,7 @@ public:
   TrackerCheckpoint saveState() const;
 
   /// Silently rebuilds the tracker from a boundary snapshot: no listener
-  /// events fire (the opening shard already fired the onEdgeBegin events
+  /// events fire (the opening segment already fired the onEdgeBegin events
   /// for the frames being restored), and edge ids are re-interned when a
   /// profile target is set. Returns false on shape mismatch with the bound
   /// binary.

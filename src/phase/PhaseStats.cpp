@@ -28,27 +28,6 @@ void PhaseStats::addInterval(const IntervalRecord &R) {
   A.Len.add(static_cast<double>(R.NumInstrs));
 }
 
-void PhaseStats::mergeFrom(const PhaseStats &O) {
-  for (const auto &[Id, B] : O.Phases) {
-    PhaseAgg &A = Phases[Id];
-    A.Intervals += B.Intervals;
-    A.Instrs += B.Instrs;
-    A.Blocks += B.Blocks;
-    A.Mem += B.Mem;
-    A.WallNs += B.WallNs;
-    A.Perf.Instrs += B.Perf.Instrs;
-    A.Perf.BaseCycles += B.Perf.BaseCycles;
-    A.Perf.L1Accesses += B.Perf.L1Accesses;
-    A.Perf.L1Misses += B.Perf.L1Misses;
-    A.Perf.L2Accesses += B.Perf.L2Accesses;
-    A.Perf.L2Misses += B.Perf.L2Misses;
-    A.Perf.Branches += B.Perf.Branches;
-    A.Perf.Mispredicts += B.Perf.Mispredicts;
-    A.Cpi.merge(B.Cpi);
-    A.Len.merge(B.Len);
-  }
-}
-
 PhaseStats PhaseStats::fromIntervals(const std::vector<IntervalRecord> &Ivs) {
   PhaseStats S;
   for (const IntervalRecord &R : Ivs)

@@ -14,10 +14,8 @@
 ///
 /// The integer totals obey an exactness invariant the differential suite
 /// pins (tests/attribution_test.cpp): summed across phases they equal the
-/// run's global counters, bit-exact on every execution tier and any shard
-/// count. mergeFrom makes the accumulator shard-friendly: integer sums are
-/// order-independent, and the CPI moments merge with the parallel Welford
-/// combination, so per-segment stats concatenate to the unsharded answer.
+/// run's global counters, bit-exact on every execution tier and however
+/// many checkpoint segments the run was split into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,11 +54,6 @@ class PhaseStats {
 public:
   /// Attributes one completed interval to its phase.
   void addInterval(const IntervalRecord &R);
-
-  /// Merges another rollup in (sharded runs: one PhaseStats per segment).
-  /// Integer totals are exact under any merge order; CPI/length moments use
-  /// the parallel Welford combination.
-  void mergeFrom(const PhaseStats &O);
 
   static PhaseStats fromIntervals(const std::vector<IntervalRecord> &Ivs);
 

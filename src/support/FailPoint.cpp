@@ -28,7 +28,6 @@ const std::vector<std::string> &failpointSeamNames() {
       "ckpt.serialize",// serializeCheckpoint (markers/Checkpoint.cpp)
       "ckpt.write",    // checkpoint file emit (tools/spm_tool.cpp)
       "metrics.write", // --metrics-out emit (tools/spm_tool.cpp)
-      "shard.exec",    // sharded driver leg (markers/Sharded.h)
       "tool.write",    // any other spm_tool output file
       "trace.write",   // --trace-out emit (tools/spm_tool.cpp)
   };

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Named failpoints for deterministic fault injection at the durability
-/// seams (checkpoint serialize/write/read, shard leg execution, bytecode
-/// verification, CFG import, and every spm_tool file writer). The fault
-/// fuzz suite (tests/faultfuzz_test.cpp, ctest label "fault") arms them to
-/// prove crash-then-resume and retry-after-fault reproduce uninterrupted
-/// runs byte-for-byte; docs/robustness.md is the contract.
+/// seams (checkpoint serialize/write/read, bytecode verification, CFG
+/// import, and every spm_tool file writer). The fault fuzz suite
+/// (tests/faultfuzz_test.cpp, ctest label "fault") arms them to prove
+/// crash-then-resume reproduces uninterrupted runs byte-for-byte;
+/// docs/robustness.md is the contract.
 ///
 /// Gating follows the SPM_TRACE model (Trace.h), in order of cheapness:
 ///
@@ -27,7 +27,7 @@
 ///
 /// Activation is a deterministic spec string, e.g.
 ///
-///     ckpt.write=partial:3,shard.exec=throw:every:2
+///     ckpt.write=partial:3,ckpt.read=throw:every:2
 ///
 ///     spec  := point ( "," point )*
 ///     point := name "=" mode
@@ -65,7 +65,7 @@ namespace spm {
 constexpr bool failpointsCompiledIn() { return SPM_FAILPOINTS_ENABLED != 0; }
 
 /// The exception an armed `throw` failpoint raises. Carries the failpoint
-/// name so recovery code (shard retry, fuzz harnesses) can assert which
+/// name so recovery code (fuzz harnesses, the crash dump) can assert which
 /// seam faulted.
 class FailPointInjected : public std::runtime_error {
 public:

@@ -13,7 +13,7 @@
 ///
 /// Two kinds of call sites, with different gating:
 ///
-///   - Implicit pipeline instrumentation (interpreter totals, shard counts,
+///   - Implicit pipeline instrumentation (interpreter totals, segment counts,
 ///     marker firings, k-means restarts, ...) uses the gated mutators
 ///     add()/set()/record(): no-ops unless the spmtrace runtime switch is
 ///     on (Trace.h spmTraceSetEnabled). In SPM_TRACE=OFF builds
@@ -26,7 +26,7 @@
 ///     compiled out or switched off.
 ///
 /// Counters are std::atomic and exact across threads: sites increment at
-/// run/flush/shard granularity (never per interpreter event), so the exact
+/// run/flush/segment granularity (never per interpreter event), so the exact
 /// totals asserted in tests/observability_test cost nothing measurable.
 ///
 //===----------------------------------------------------------------------===//
@@ -119,7 +119,7 @@ private:
 
 /// Streaming histogram: count/mean/stddev/min/max via RunningStat, plus
 /// fixed log-spaced buckets for percentile estimates. Mutex-guarded —
-/// record sites run at restart/shard/checkpoint granularity.
+/// record sites run at restart/segment/checkpoint granularity.
 ///
 /// The buckets are 8-per-decade over [1e-9, 1e9) with an underflow bucket
 /// for non-positive values and an overflow bucket above; a percentile

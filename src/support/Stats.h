@@ -42,29 +42,6 @@ public:
     Sum += X;
   }
 
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const RunningStat &O) {
-    if (O.N == 0)
-      return;
-    if (N == 0) {
-      *this = O;
-      return;
-    }
-    uint64_t NewN = N + O.N;
-    double Delta = O.Mean - Mean;
-    double NewMean =
-        Mean + Delta * static_cast<double>(O.N) / static_cast<double>(NewN);
-    M2 += O.M2 + Delta * Delta * static_cast<double>(N) *
-                     static_cast<double>(O.N) / static_cast<double>(NewN);
-    Mean = NewMean;
-    N = NewN;
-    if (O.Max > Max)
-      Max = O.Max;
-    if (O.Min < Min)
-      Min = O.Min;
-    Sum += O.Sum;
-  }
-
   uint64_t count() const { return N; }
   double mean() const { return N ? Mean : 0.0; }
   double sum() const { return Sum; }

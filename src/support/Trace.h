@@ -21,8 +21,8 @@
 ///     tests/observability_test).
 ///   - Compiled in, runtime-disabled (the default at startup): one relaxed
 ///     atomic load and a predictable branch per span site. Spans sit at
-///     run/stage/shard/flush granularity — never per interpreter event — so
-///     this configuration stays within 1% of the compiled-out build on the
+///     run/stage/segment/flush granularity — never per interpreter event —
+///     so this configuration stays within 1% of the compiled-out build on the
 ///     hot stages (BENCH_trace.json records the measurement).
 ///   - Enabled (`spmTraceSetEnabled(true)`, or spm_tool's --trace-out):
 ///     two steady_clock reads and two lock-free ring-buffer pushes per
@@ -92,8 +92,8 @@ struct ThreadBuf {
 
   /// Pushes a begin record; returns false (and counts a drop) unless this
   /// record, its own end, and the owed end of every already-open span all
-  /// fit. Spans nest (pool.task -> shard.exec -> vm.runFast -> ...), so one
-  /// reserved end slot per outstanding begin — a full buffer drops whole
+  /// fit. Spans nest (pool.task -> pipeline.build_graph -> vm.runFast ->
+  /// ...), so one reserved end slot per outstanding begin — a full buffer drops whole
   /// spans, never half of one, and never overruns the ring. Invariant:
   /// Size + OpenEnds <= Capacity.
   bool pushBegin(const char *Name, uint64_t Ns) {

@@ -63,8 +63,8 @@ struct IntervalRecord {
 /// Mutable state of an IntervalBuilder at a segment boundary: the partial
 /// interval in progress (position, phase attribution, pending cut, the
 /// counter snapshot deltas are taken against, and the partial BBV).
-/// Completed Records are deliberately not part of the state — sharded runs
-/// collect them per segment and concatenate; an interval spanning a
+/// Completed Records are deliberately not part of the state — segmented
+/// runs collect them per segment and concatenate; an interval spanning a
 /// boundary is emitted exactly once, by the segment where it cuts, with the
 /// carried partial making its content exact.
 struct IntervalBuilderState {
@@ -190,7 +190,7 @@ public:
     CurBlocks = St.CurBlocks;
     CurMem = St.CurMem;
     CurPhase = St.CurPhase;
-    // Wall time restarts at the boundary: segments of a sharded run each
+    // Wall time restarts at the boundary: segments of a resumed run each
     // contribute only the time they actually held the interval open.
     LastCut = std::chrono::steady_clock::now();
     PendingCut = St.PendingCut;

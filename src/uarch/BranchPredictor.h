@@ -22,7 +22,7 @@
 namespace spm {
 
 /// Complete mutable state of a BranchPredictor2Bit, exposed for
-/// checkpointing: predictor counters are history-dependent, so sharded
+/// checkpointing: predictor counters are history-dependent, so checkpointed
 /// execution carries them across segment boundaries.
 struct BranchPredictorState {
   std::vector<uint8_t> Counters;

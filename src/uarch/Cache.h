@@ -70,7 +70,7 @@ struct CacheStats {
 
 /// Complete mutable state of a CacheModel (tags, LRU stamps, clock,
 /// counters), exposed so checkpoints can snapshot and resume a simulation
-/// bit-exactly. Cache contents are history-dependent, so sharded execution
+/// bit-exactly. Cache contents are history-dependent, so checkpointed execution
 /// cannot skip ahead without carrying this.
 struct CacheModelState {
   CacheStats Stats;

@@ -247,8 +247,8 @@ inline bool operator==(const BcTape &L, const BcTape &R) {
 }
 
 /// Verification memo (see Interpreter::requireVerified): the Binary a
-/// successful verify() ran against, so sharded drivers re-entering
-/// runBytecodeSegment per shard leg pay the O(module) structural check once
+/// successful verify() ran against, so segment chains re-entering
+/// runBytecodeSegment per segment pay the O(module) structural check once
 /// per (module, binary) instead of once per segment. Copies and moves reset
 /// the memo — a copied module has not been verified. The benign case of two
 /// threads verifying the same (module, binary) concurrently stores the same

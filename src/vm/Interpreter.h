@@ -172,16 +172,17 @@ public:
   }
 
   //===--------------------------------------------------------------------===//
-  // Resumable segments (sharded interpretation; see docs/sharding.md).
+  // Resumable segments (checkpoint/resume; see docs/checkpoint.md).
   //
   // A segment executes from a checkpoint (nullptr = program start) until
   // Result.TotalInstrs reaches \p UntilInstrs or the program completes,
   // then captures the suspension point into \p Out (nullptr = discard).
   // Segments emit neither onRunStart nor onRunEnd — run framing belongs to
-  // the caller, which lets shard 0 own the start and the final shard own
-  // the end exactly as one uninterrupted run would. The returned RunResult
-  // is cumulative from the logical run start (totals carry through the
-  // checkpoint); HitInstrLimit refers to this segment's boundary only.
+  // the caller, which lets the first segment own the start and the final
+  // segment own the end exactly as one uninterrupted run would. The
+  // returned RunResult is cumulative from the logical run start (totals
+  // carry through the checkpoint); HitInstrLimit refers to this segment's
+  // boundary only.
   //
   // Bit-exactness contract: for any boundary sequence, concatenating the
   // event streams of the chained segments reproduces run()'s stream
@@ -279,9 +280,9 @@ private:
   // RNG draw sequence cannot drift from the tree engines.
   /// Rejects modules that fail verify() with std::invalid_argument; the
   /// dispatch loop itself does no bounds checks. Verification is memoized
-  /// per (module, binary): sharded drivers re-enter runBytecodeSegment once
-  /// per planning/warming/shard leg, and without the memo each leg would
-  /// pay the full O(module) structural walk (plus, for fused modules, the
+  /// per (module, binary): segment chains re-enter runBytecodeSegment once
+  /// per segment, and without the memo each segment would pay the full
+  /// O(module) structural walk (plus, for fused modules, the
   /// canonical-fusion recompute). A hit is one acquire load.
   void requireVerified(const BytecodeModule &M) const {
     if (M.Verified.V.load(std::memory_order_acquire) == &B)

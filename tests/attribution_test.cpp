@@ -5,10 +5,8 @@
 //   1. Exactness: summed across phases, PhaseStats' instruction, dynamic
 //      block, and memory-access totals equal the run's own global counters —
 //      on every execution tier (tree walk, plain bytecode, superop-fused
-//      tapes) and at every shard count, bit for bit.
-//   2. Merge correctness: per-segment rollups combined with mergeFrom give
-//      the same integer totals as one rollup over the whole run, and CPI
-//      moments that agree with the direct Welford pass to rounding.
+//      tapes), whole or cut into checkpointed segments, bit for bit.
+//   2. Export shape: the per-phase JSONL carries one object per phase.
 //   3. The crash-time flight recorder: a run killed by an injected fault
 //      leaves <out>.crash.json behind, valid JSON, naming the seam that
 //      fired and carrying the run provenance.
@@ -19,7 +17,6 @@
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
-#include "markers/Sharded.h"
 #include "phase/PhaseStats.h"
 #include "support/FailPoint.h"
 #include "support/FlightRecorder.h"
@@ -29,6 +26,8 @@
 #include "vm/Bytecode.h"
 #include "vm/Fusion.h"
 #include "workloads/Workloads.h"
+
+#include "DiffHarness.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +43,7 @@ using namespace spm;
 
 namespace {
 
-/// Mid-run cap, same spirit as the engine/shard differential suites: the
+/// Mid-run cap, same spirit as the engine/segment differential suites: the
 /// attribution must balance even when the run stops inside live loop nests.
 constexpr uint64_t Cap = 1'000'000;
 
@@ -82,7 +81,7 @@ PipelineCase makeCase(const std::string &Name) {
 /// Canonical string of the attribution's deterministic content: per phase
 /// the interval count and integer totals. WallNs is host time and PerfAgg
 /// CPI moments follow from the counters, so this is the full byte-compare
-/// surface for cross-tier/cross-shard identity.
+/// surface for cross-tier/cross-segment identity.
 std::string dumpAttribution(const PhaseStats &PS) {
   std::string Out;
   char Buf[160];
@@ -98,14 +97,16 @@ std::string dumpAttribution(const PhaseStats &PS) {
   return Out;
 }
 
-/// One tier/shard configuration of a marker run.
+/// One tier/segment configuration of a marker run.
 struct RunConfig {
   const char *Label;
   bool Bytecode;
   bool Fuse;
-  unsigned Shards;
+  unsigned Segments;
 };
 
+/// One segment runs the production driver; more run the serial segment
+/// chain (DiffHarness.h) cut at even boundaries.
 MarkerRun runConfigured(const PipelineCase &C, const RunConfig &Cfg) {
   std::unique_ptr<BytecodeModule> Bc;
   if (Cfg.Bytecode) {
@@ -114,10 +115,19 @@ MarkerRun runConfigured(const PipelineCase &C, const RunConfig &Cfg) {
       M = fuseBytecode(*C.B, std::move(M));
     Bc = std::make_unique<BytecodeModule>(std::move(M));
   }
-  return runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
-                                   /*CollectBbv=*/false,
-                                   /*RecordFirings=*/false, Cfg.Shards, Cap,
-                                   PerfModelOptions(), nullptr, Bc.get());
+  if (Cfg.Segments == 1)
+    return runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
+                              /*CollectBbv=*/false, /*RecordFirings=*/false,
+                              Cap, PerfModelOptions(), Bc.get());
+  return difftest::runSegmentChain(
+      [&] {
+        return std::make_unique<difftest::MarkerStack>(
+            *C.B, C.Loops, *C.G, C.Markers, C.W.Ref, Bc.get(),
+            /*CollectBbv=*/false);
+      },
+      difftest::evenBoundaries(difftest::runLength(*C.B, C.W.Ref, Cap),
+                               Cfg.Segments, Cap),
+      Cfg.Label);
 }
 
 const RunConfig AllConfigs[] = {
@@ -127,7 +137,7 @@ const RunConfig AllConfigs[] = {
 };
 
 //===----------------------------------------------------------------------===//
-// Exactness: per-phase sums equal global counters on every tier and shard
+// Exactness: per-phase sums equal global counters on every tier and segment
 // count, and the attribution is bit-identical across all of them.
 //===----------------------------------------------------------------------===//
 
@@ -158,48 +168,10 @@ INSTANTIATE_TEST_SUITE_P(Workloads, AttributionExact,
                          ::testing::Values("gzip", "mcf", "gcc"));
 
 //===----------------------------------------------------------------------===//
-// Merge correctness.
+// Export shape.
 //===----------------------------------------------------------------------===//
 
-TEST(PhaseStatsMerge, ChunkedMergeMatchesDirect) {
-  ObsGuard Guard;
-  PipelineCase C = makeCase("gzip");
-  MarkerRun Run = runConfigured(C, AllConfigs[0]);
-  ASSERT_GT(Run.Intervals.size(), 3u);
-
-  PhaseStats Direct = PhaseStats::fromIntervals(Run.Intervals);
-
-  // Split into three uneven segments, roll each up independently, merge.
-  PhaseStats Merged;
-  size_t N = Run.Intervals.size();
-  size_t Splits[] = {0, N / 3, N / 2, N};
-  for (int S = 0; S < 3; ++S) {
-    PhaseStats Part;
-    for (size_t I = Splits[S]; I < Splits[S + 1]; ++I)
-      Part.addInterval(Run.Intervals[I]);
-    Merged.mergeFrom(Part);
-  }
-
-  // Integer totals are exact under any merge order.
-  EXPECT_EQ(dumpAttribution(Merged), dumpAttribution(Direct));
-
-  // Welford moments agree to rounding (parallel-merge vs sequential).
-  ASSERT_EQ(Merged.phases().size(), Direct.phases().size());
-  auto MIt = Merged.phases().begin();
-  for (const auto &[Id, D] : Direct.phases()) {
-    const PhaseAgg &M = MIt->second;
-    EXPECT_EQ(MIt->first, Id);
-    EXPECT_EQ(M.Cpi.count(), D.Cpi.count());
-    EXPECT_NEAR(M.Cpi.mean(), D.Cpi.mean(), 1e-9 * (1.0 + D.Cpi.mean()));
-    EXPECT_NEAR(M.Cpi.stddev(), D.Cpi.stddev(),
-                1e-7 * (1.0 + D.Cpi.stddev()));
-    EXPECT_EQ(M.Len.count(), D.Len.count());
-    EXPECT_NEAR(M.Len.mean(), D.Len.mean(), 1e-9 * (1.0 + D.Len.mean()));
-    ++MIt;
-  }
-}
-
-TEST(PhaseStatsMerge, JsonlIsOneObjectPerPhase) {
+TEST(PhaseStatsExport, JsonlIsOneObjectPerPhase) {
   ObsGuard Guard;
   PipelineCase C = makeCase("gzip");
   MarkerRun Run = runConfigured(C, AllConfigs[0]);

@@ -8,9 +8,9 @@
 // cache counters must be byte-identical across run / runFast /
 // runBytecode, plain and fused alike. Also fuzzes checkpoint interchange
 // (a segment suspended under one tier resumes under another, including
-// resumes that land inside a fused tape's op span), the sharded drivers'
-// bytecode path, and the module verifier's rejection of malformed modules
-// and corrupted fusion overlays.
+// resumes that land inside a fused tape's op span), serialized segment
+// chains on the bytecode tiers, and the module verifier's rejection of
+// malformed modules and corrupted fusion overlays.
 //
 //===----------------------------------------------------------------------==//
 
@@ -20,7 +20,6 @@
 #include "ir/Builder.h"
 #include "ir/Lowering.h"
 #include "markers/Selector.h"
-#include "markers/Sharded.h"
 #include "vm/Bytecode.h"
 #include "vm/Fusion.h"
 
@@ -191,12 +190,8 @@ TEST(BytecodeFuzz, MarkerIntervalsDifferential) {
                                       /*CollectBbv=*/true,
                                       /*RecordFirings=*/true, FuzzCap,
                                       PerfModelOptions(), &F);
-    EXPECT_EQ(Tree.Firings, Bc.Firings) << Ctx;
-    expectSameRun(Tree.Run, Bc.Run, Ctx);
-    expectSameIntervals(Tree.Intervals, Bc.Intervals, Ctx);
-    EXPECT_EQ(Tree.Firings, Fz.Firings) << Ctx << " (fused)";
-    expectSameRun(Tree.Run, Fz.Run, Ctx + " (fused)");
-    expectSameIntervals(Tree.Intervals, Fz.Intervals, Ctx + " (fused)");
+    expectSameMarkerRun(Tree, Bc, Ctx);
+    expectSameMarkerRun(Tree, Fz, Ctx + " (fused)");
   }
   // The scan must find enough marker-bearing programs for this
   // differential to mean something.
@@ -318,16 +313,16 @@ TEST(BytecodeFuzz, CheckpointFramesIdenticalAcrossTiers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded drivers over the bytecode tier
+// Segment chains over the bytecode tier
 //===----------------------------------------------------------------------===//
 
-// All three sharded drivers with the bytecode path — plain and fused
-// modules both — shards in {1, 3}, compared against the unsharded
-// tree-tier reference: graphs, marker intervals + firings, and fixed
-// intervals must match exactly. Shard boundaries are arbitrary
-// instruction counts, so the fused legs also exercise segment resumes
-// that land inside tape spans.
-TEST(BytecodeFuzz, ShardedBytecodeDifferential) {
+// Serial segment chains (DiffHarness.h) for the graph, marker and fixed-
+// interval stacks on the bytecode tier — plain and fused modules both —
+// cut into {1, 3} segments, compared against the uninterrupted tree-tier
+// drivers: graphs, marker intervals + firings, and fixed intervals must
+// match exactly. Boundaries are arbitrary instruction counts, so the fused
+// chains also exercise resumes that land inside tape spans.
+TEST(BytecodeFuzz, SegmentedBytecodeDifferential) {
   for (uint64_t Seed = 0; Seed < 8; ++Seed) {
     auto Prog = irgen::generateProgram(Seed * 13 + 3);
     auto B = lower(*Prog, LoweringOptions::O2());
@@ -349,25 +344,31 @@ TEST(BytecodeFuzz, ShardedBytecodeDifferential) {
         runFixedIntervals(*B, In, 10'000, /*CollectBbv=*/true, FuzzCap);
 
     for (const BytecodeModule *M : {&Plain, &Fused}) {
-      for (unsigned NShards : {1u, 3u}) {
+      for (unsigned N : {1u, 3u}) {
         std::string SCtx = Ctx + (M == &Fused ? " fused" : "") +
-                           " shards " + std::to_string(NShards);
-        auto G = buildCallLoopGraphSharded(*B, Loops, In, NShards, FuzzCap,
-                                           /*ShardSeconds=*/nullptr, M);
-        EXPECT_EQ(DumpRef, printGraph(*G)) << SCtx;
+                           " segments " + std::to_string(N);
+        std::vector<uint64_t> Until =
+            evenBoundaries(MRef.Run.TotalInstrs, N, FuzzCap);
 
-        MarkerRun MR = runMarkerIntervalsSharded(
-            *B, Loops, *GRef, Sel.Markers, In, /*CollectBbv=*/true,
-            /*RecordFirings=*/true, NShards, FuzzCap, PerfModelOptions(),
-            /*ShardSeconds=*/nullptr, M);
-        EXPECT_EQ(MRef.Firings, MR.Firings) << SCtx;
-        expectSameRun(MRef.Run, MR.Run, SCtx);
-        expectSameIntervals(MRef.Intervals, MR.Intervals, SCtx);
+        CallLoopGraph G(*B, Loops);
+        runSegmentChain(
+            [&] { return std::make_unique<GraphStack>(*B, Loops, G, In, M); },
+            Until, SCtx);
+        G.finalize();
+        EXPECT_EQ(DumpRef, printGraph(G)) << SCtx;
 
-        std::vector<IntervalRecord> FI = runFixedIntervalsSharded(
-            *B, In, 10'000, /*CollectBbv=*/true, NShards, FuzzCap,
-            PerfModelOptions(), /*ShardSeconds=*/nullptr, M);
-        expectSameIntervals(FRef, FI, SCtx);
+        MarkerRun MR = runSegmentChain(
+            [&] {
+              return std::make_unique<MarkerStack>(*B, Loops, *GRef,
+                                                   Sel.Markers, In, M);
+            },
+            Until, SCtx);
+        expectSameMarkerRun(MRef, MR, SCtx);
+
+        MarkerRun FI = runSegmentChain(
+            [&] { return std::make_unique<FixedStack>(*B, In, M, 10'000); },
+            Until, SCtx);
+        expectSameIntervals(FRef, FI.Intervals, SCtx);
       }
     }
   }

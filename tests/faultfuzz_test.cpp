@@ -13,13 +13,11 @@
 //      clearing reproduces the fault-free artifact byte for byte. A seam
 //      this suite does not know how to drive is a test failure, so new
 //      failpoints cannot land without recovery coverage.
-//   4. Crash-then-resume and retry-after-fault differentials over generated
-//      programs (tests/IrGen.h): a marker pipeline run killed at a
-//      checkpoint boundary and resumed from the serialized bytes — on the
-//      same tier or a different one — must reproduce the uninterrupted
-//      run's intervals and totals exactly, and sharded drivers healing an
-//      injected leg fault must match their faultless output on every
-//      engine tier.
+//   4. Crash-then-resume differential over generated programs
+//      (tests/IrGen.h): a marker pipeline run killed at a checkpoint
+//      boundary and resumed from the serialized bytes — on the same tier
+//      or a different one — must reproduce the uninterrupted run's
+//      intervals, firings and totals exactly.
 //
 // Everything is a pure function of the program seed, so any failure
 // reproduces from the log alone.
@@ -33,11 +31,9 @@
 #include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
-#include "markers/Sharded.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
-#include "support/Parallel.h"
 #include "support/Random.h"
 #include "support/Trace.h"
 #include "vm/Bytecode.h"
@@ -83,19 +79,6 @@ struct FaultGuard {
   }
 };
 
-/// Pool-size pin (same helper as parallel_test): sharded legs must run on
-/// real workers even on a 1-CPU host.
-class ScopedJobs {
-public:
-  explicit ScopedJobs(int Jobs) : Saved(parallelJobs()) {
-    setParallelJobs(Jobs);
-  }
-  ~ScopedJobs() { setParallelJobs(static_cast<int>(Saved)); }
-
-private:
-  unsigned Saved;
-};
-
 /// Lists stray atomic-writer temps (`<base>.tmp.<pid>.<seq>`) next to
 /// \p Base in the current directory.
 std::vector<std::string> strayTemps(const std::string &Base) {
@@ -115,97 +98,39 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The full marker-pipeline observer stack, identical to the one
-/// `spm_tool checkpoint save/resume` builds: tracker -> marker runtime ->
-/// interval builder -> perf model under one mux.
-struct PipelineStack {
-  PerfModel Perf;
-  IntervalBuilder Ivb;
-  CallLoopTracker Tracker;
-  MarkerRuntime Runtime;
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux;
-  Interpreter Interp;
-
-  PipelineStack(const Binary &B, const LoopIndex &Loops,
-                const CallLoopGraph &G, const MarkerSet &M,
-                const WorkloadInput &In)
-      : Perf(), Ivb(IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/true)),
-        Tracker(B, Loops, G), Runtime(M, G), Mux(Tracker, Ivb, Perf),
-        Interp(B, In) {
-    Tracker.addListener(&Runtime);
-    Runtime.setCallback([this](int32_t Idx) { Ivb.requestCut(Idx); });
-  }
-};
-
-struct RunDump {
-  std::vector<IntervalRecord> Iv;
-  uint64_t TotalInstrs = 0;
-};
-
-/// Uninterrupted run on the tier \p Bc selects.
-RunDump runWhole(const Binary &B, const LoopIndex &Loops,
-                 const CallLoopGraph &G, const MarkerSet &M,
-                 const WorkloadInput &In, const BytecodeModule *Bc,
-                 uint64_t Cap) {
-  PipelineStack S(B, Loops, G, M, In);
-  S.Mux.onRunStart(B, In);
-  RunResult R = detail::segmentWithEngine(S.Interp, Bc, S.Mux, nullptr, Cap);
-  S.Mux.onRunEnd(R.TotalInstrs);
-  return {S.Ivb.takeIntervals(), R.TotalInstrs};
+/// Uninterrupted run on the tier \p Bc selects: a one-segment chain.
+MarkerRun runWhole(const Binary &B, const LoopIndex &Loops,
+                   const CallLoopGraph &G, const MarkerSet &M,
+                   const WorkloadInput &In, const BytecodeModule *Bc,
+                   uint64_t Cap) {
+  MarkerStack S(B, Loops, G, M, In, Bc);
+  MarkerRun Out;
+  runChainSegment(S, "", Cap, /*Last=*/true, Out, "whole");
+  return Out;
 }
 
-/// Runs to the \p At boundary, captures and serializes a full pipeline
-/// checkpoint (the `checkpoint save` flow), and hands back the intervals
+/// Runs to the \p At boundary and returns the serialized full pipeline
+/// checkpoint (the `checkpoint save` flow); \p Left receives the intervals
 /// cut before the boundary.
 std::string saveAt(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
                    const WorkloadInput &In, const BytecodeModule *Bc,
-                   uint64_t At, RunDump &Left) {
-  PipelineStack S(B, Loops, G, M, In);
-  S.Mux.onRunStart(B, In);
-  PipelineCheckpoint C;
-  RunResult R =
-      detail::segmentWithEngine(S.Interp, Bc, S.Mux, nullptr, At, &C.Interp);
-  if (C.Interp.Finished)
-    S.Mux.onRunEnd(R.TotalInstrs);
-  C.Seed = In.seed();
-  C.HasTracker = true;
-  C.Tracker = S.Tracker.saveState();
-  C.HasInterval = true;
-  C.Interval = S.Ivb.saveState();
-  C.HasPerf = true;
-  C.Perf = S.Perf.saveState();
-  C.HasMarkers = true;
-  C.Markers = S.Runtime.saveState();
-  std::string Bytes = serializeCheckpoint(C);
-  Left = {S.Ivb.takeIntervals(), R.TotalInstrs};
-  return Bytes;
+                   uint64_t At, MarkerRun &Left) {
+  MarkerStack S(B, Loops, G, M, In, Bc);
+  return runChainSegment(S, "", At, /*Last=*/false, Left, "save");
 }
 
-/// Parses \p Bytes and finishes the run from the boundary (the `checkpoint
-/// resume` flow) on the tier \p Bc selects.
-RunDump resumeFrom(const Binary &B, const LoopIndex &Loops,
-                   const CallLoopGraph &G, const MarkerSet &M,
-                   const WorkloadInput &In, const BytecodeModule *Bc,
-                   const std::string &Bytes, uint64_t Cap,
-                   const std::string &Ctx) {
-  std::string Err;
-  std::optional<PipelineCheckpoint> C = parseCheckpoint(Bytes, &Err);
-  EXPECT_TRUE(C.has_value()) << Ctx << ": " << Err;
-  if (!C)
-    return {};
-  PipelineStack S(B, Loops, G, M, In);
-  EXPECT_TRUE(S.Tracker.restoreState(C->Tracker)) << Ctx;
-  EXPECT_TRUE(S.Perf.restoreState(C->Perf)) << Ctx;
-  EXPECT_TRUE(S.Runtime.restoreState(C->Markers)) << Ctx;
-  S.Ivb.restoreState(C->Interval);
-  RunResult R;
-  R.TotalInstrs = C->Interp.TotalInstrs;
-  if (!C->Interp.Finished) {
-    R = detail::segmentWithEngine(S.Interp, Bc, S.Mux, &C->Interp, Cap);
-    S.Mux.onRunEnd(R.TotalInstrs);
-  }
-  return {S.Ivb.takeIntervals(), R.TotalInstrs};
+/// Finishes the run from the serialized boundary \p Bytes (the `checkpoint
+/// resume` flow) on the tier \p Bc selects, appending to the outputs
+/// \p Left holds from before the boundary.
+MarkerRun resumeFrom(const Binary &B, const LoopIndex &Loops,
+                     const CallLoopGraph &G, const MarkerSet &M,
+                     const WorkloadInput &In, const BytecodeModule *Bc,
+                     const std::string &Bytes, MarkerRun Left, uint64_t Cap,
+                     const std::string &Ctx) {
+  MarkerStack S(B, Loops, G, M, In, Bc);
+  runChainSegment(S, Bytes, Cap, /*Last=*/true, Left, Ctx);
+  return Left;
 }
 
 /// One generated program compiled for all tiers, with markers selected.
@@ -247,7 +172,7 @@ TEST(FailPointSpec, GrammarAcceptsDocumentedModes) {
   EXPECT_TRUE(failpointsConfigure("ckpt.write=throw:every:2"));
   EXPECT_TRUE(failpointsConfigure("ckpt.write=partial:7"));
   EXPECT_TRUE(failpointsConfigure(
-      "ckpt.write=partial:3,shard.exec=throw:every:2,bc.verify=throw"));
+      "ckpt.write=partial:3,ckpt.read=throw:every:2,bc.verify=throw"));
   failpointsClear();
 }
 
@@ -428,7 +353,6 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
   FaultGuard Guard;
   if (!failpointsCompiledIn())
     GTEST_SKIP() << "failpoints compiled out";
-  ScopedJobs Jobs(3);
 
   // Shared fixtures the drivers below reuse.
   FuzzCase FC(7);
@@ -466,19 +390,6 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
       failpointsClear();
       std::optional<cfg::ImportedProgram> IP = cfg::importCfg(*Cfg, {}, &Err);
       EXPECT_TRUE(IP.has_value()) << Err;
-    } else if (Seam == "shard.exec") {
-      // Retry budget zero surfaces the fault; the healed re-run matches
-      // the faultless graph.
-      ShardRetryPolicy NoRetry;
-      NoRetry.MaxRetries = 0;
-      EXPECT_THROW(buildCallLoopGraphSharded(*FC.B, FC.Loops, FC.In, 3,
-                                             FaultCap, nullptr, nullptr,
-                                             NoRetry),
-                   FailPointInjected);
-      failpointsClear();
-      EXPECT_EQ(printGraph(*buildCallLoopGraphSharded(*FC.B, FC.Loops,
-                                                      FC.In, 3, FaultCap)),
-                printGraph(*FC.G));
     } else if (Seam == "ckpt.write" || Seam == "tool.write" ||
                Seam == "bench.write" || Seam == "trace.write" ||
                Seam == "metrics.write") {
@@ -513,8 +424,8 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
 // pipeline uninterrupted, then again with a mid-run checkpoint boundary —
 // crashing the first serialization attempt, rejecting a corrupted copy of
 // the bytes, and finally resuming from the good copy. The boundary split
-// must be invisible: left + right intervals and final totals equal the
-// uninterrupted run's exactly. Every 4th program also resumes the
+// must be invisible: left + right intervals, firings and final totals
+// equal the uninterrupted run's exactly. Every 4th program also resumes the
 // tree-tier checkpoint on the fused tier, pinning tier-crossing recovery.
 TEST(FaultFuzz, CrashThenResumeDifferential) {
   FaultGuard Guard;
@@ -526,20 +437,20 @@ TEST(FaultFuzz, CrashThenResumeDifferential) {
 
     const BytecodeModule *Tiers[] = {nullptr, &FC.M, &FC.F};
     const char *TierNames[] = {"tree", "bytecode", "fused"};
-    RunDump WholeByTier[3];
+    MarkerRun WholeByTier[3];
     for (int T = 0; T < 3; ++T) {
       std::string Ctx = "seed " + std::to_string(Seed) + " tier " +
                         TierNames[T];
-      RunDump Whole = runWhole(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
-                               Tiers[T], FaultCap);
+      MarkerRun Whole = runWhole(*FC.B, FC.Loops, *FC.G, FC.Markers,
+                                 FC.In, Tiers[T], FaultCap);
       WholeByTier[T] = Whole;
-      uint64_t At = Whole.TotalInstrs / 2;
+      uint64_t At = Whole.Run.TotalInstrs / 2;
 
       // Crash the first save attempt at the serialization seam; the world
       // stays rerunnable (every 8th program, to bound runtime).
       if (failpointsCompiledIn() && Seed % 8 == 0) {
         ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw"));
-        RunDump Scratch;
+        MarkerRun Scratch;
         EXPECT_THROW(saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
                             Tiers[T], At, Scratch),
                      FailPointInjected)
@@ -547,7 +458,7 @@ TEST(FaultFuzz, CrashThenResumeDifferential) {
         failpointsClear();
       }
 
-      RunDump Left;
+      MarkerRun Left;
       std::string Bytes = saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
                                  Tiers[T], At, Left);
 
@@ -566,120 +477,29 @@ TEST(FaultFuzz, CrashThenResumeDifferential) {
             << Ctx << ": " << PErr;
       }
 
-      RunDump Right = resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
-                                 Tiers[T], Bytes, FaultCap, Ctx);
-      EXPECT_EQ(Right.TotalInstrs, Whole.TotalInstrs) << Ctx;
-      std::vector<IntervalRecord> Stitched = Left.Iv;
-      Stitched.insert(Stitched.end(), Right.Iv.begin(), Right.Iv.end());
-      expectSameIntervals(Whole.Iv, Stitched, Ctx + " (stitched)");
+      expectSameMarkerRun(Whole,
+                          resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers,
+                                     FC.In, Tiers[T], Bytes, Left, FaultCap,
+                                     Ctx),
+                          Ctx + " (stitched)");
 
       // Tier-crossing resume: a tree-tier checkpoint finished on the fused
       // tier must match the tree run (checkpoints address source
       // structure, not engine state).
       if (T == 0 && Seed % 4 == 0) {
-        RunDump CrossRight =
-            resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, &FC.F,
-                       Bytes, FaultCap, Ctx + " cross-tier");
-        EXPECT_EQ(CrossRight.TotalInstrs, Whole.TotalInstrs) << Ctx;
-        std::vector<IntervalRecord> Cross = Left.Iv;
-        Cross.insert(Cross.end(), CrossRight.Iv.begin(),
-                     CrossRight.Iv.end());
-        expectSameIntervals(Whole.Iv, Cross, Ctx + " (cross-tier)");
+        expectSameMarkerRun(Whole,
+                            resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers,
+                                       FC.In, &FC.F, Bytes, Left, FaultCap,
+                                       Ctx + " cross-tier"),
+                            Ctx + " (cross-tier)");
       }
     }
 
     // The three tiers' uninterrupted runs agree with each other too.
     std::string Ctx = "seed " + std::to_string(Seed);
-    EXPECT_EQ(WholeByTier[0].TotalInstrs, WholeByTier[1].TotalInstrs) << Ctx;
-    EXPECT_EQ(WholeByTier[0].TotalInstrs, WholeByTier[2].TotalInstrs) << Ctx;
-    expectSameIntervals(WholeByTier[0].Iv, WholeByTier[1].Iv,
+    expectSameMarkerRun(WholeByTier[0], WholeByTier[1],
                         Ctx + " (tree vs bytecode)");
-    expectSameIntervals(WholeByTier[0].Iv, WholeByTier[2].Iv,
+    expectSameMarkerRun(WholeByTier[0], WholeByTier[2],
                         Ctx + " (tree vs fused)");
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Layer 4b: sharded self-healing differential
-//===----------------------------------------------------------------------===//
-
-// Injected shard-leg faults under the default retry budget must heal to
-// byte-identical output on all three sharded drivers, across engine tiers.
-TEST(FaultFuzz, ShardRetryHealsToIdenticalOutput) {
-  FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
-  ScopedJobs Jobs(3);
-
-  for (uint64_t Seed = 0; Seed < 20; ++Seed) {
-    FuzzCase FC(Seed);
-    std::string Ctx = "seed " + std::to_string(Seed);
-    const BytecodeModule *Bc = Seed % 2 ? &FC.F : nullptr;
-
-    // Graph driver: fault a different attempt each seed.
-    std::string Base = printGraph(*buildCallLoopGraphSharded(
-        *FC.B, FC.Loops, FC.In, 3, FaultCap, nullptr, Bc));
-    std::string Spec =
-        "shard.exec=throw:nth:" + std::to_string(1 + Seed % 3);
-    ASSERT_TRUE(failpointsConfigure(Spec)) << Ctx;
-    std::string Healed = printGraph(*buildCallLoopGraphSharded(
-        *FC.B, FC.Loops, FC.In, 3, FaultCap, nullptr, Bc));
-    EXPECT_EQ(failpointHits("shard.exec"), 4u) << Ctx; // 3 legs + 1 retry.
-    failpointsClear();
-    EXPECT_EQ(Base, Healed) << Ctx;
-
-    // Marker-interval driver (every 4th seed: it is the expensive one).
-    if (Seed % 4 == 0) {
-      MarkerRun MBase = runMarkerIntervalsSharded(
-          *FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, true, true, 3,
-          FaultCap, PerfModelOptions(), nullptr, Bc);
-      ASSERT_TRUE(failpointsConfigure("shard.exec=throw:once")) << Ctx;
-      MarkerRun MHealed = runMarkerIntervalsSharded(
-          *FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, true, true, 3,
-          FaultCap, PerfModelOptions(), nullptr, Bc);
-      failpointsClear();
-      expectSameIntervals(MBase.Intervals, MHealed.Intervals, Ctx);
-      EXPECT_EQ(MBase.Firings, MHealed.Firings) << Ctx;
-      expectSameRun(MBase.Run, MHealed.Run, Ctx);
-    }
-
-    // Fixed-interval driver (every 4th seed, offset).
-    if (Seed % 4 == 2) {
-      std::vector<IntervalRecord> FBase = runFixedIntervalsSharded(
-          *FC.B, FC.In, /*Len=*/5000, true, 3, FaultCap, PerfModelOptions(),
-          nullptr, Bc);
-      ASSERT_TRUE(failpointsConfigure("shard.exec=throw:nth:2")) << Ctx;
-      std::vector<IntervalRecord> FHealed = runFixedIntervalsSharded(
-          *FC.B, FC.In, /*Len=*/5000, true, 3, FaultCap, PerfModelOptions(),
-          nullptr, Bc);
-      failpointsClear();
-      expectSameIntervals(FBase, FHealed, Ctx);
-    }
-  }
-}
-
-// A leg that faults on every attempt exhausts the retry budget and
-// surfaces the injected fault — self-healing never silently drops a shard.
-TEST(FaultFuzz, RetryExhaustionSurfacesTheFault) {
-  FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
-  ScopedJobs Jobs(3);
-  FuzzCase FC(3);
-  ASSERT_TRUE(failpointsConfigure("shard.exec=throw"));
-  try {
-    buildCallLoopGraphSharded(*FC.B, FC.Loops, FC.In, 3, FaultCap);
-    FAIL() << "exhausted retries did not surface the fault";
-  } catch (const FailPointInjected &E) {
-    EXPECT_EQ(E.name(), "shard.exec");
-  }
-  failpointsClear();
-  // Default budget (2 retries) still heals a persistent-for-two-attempts
-  // fault on the same work.
-  ASSERT_TRUE(failpointsConfigure("shard.exec=throw:nth:1"));
-  std::string HealedOnce = printGraph(
-      *buildCallLoopGraphSharded(*FC.B, FC.Loops, FC.In, 3, FaultCap));
-  failpointsClear();
-  EXPECT_EQ(HealedOnce, printGraph(*buildCallLoopGraphSharded(
-                            *FC.B, FC.Loops, FC.In, 3, FaultCap)));
 }

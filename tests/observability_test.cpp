@@ -7,9 +7,9 @@
 //      enabled, or compiled out entirely.
 //   2. The Chrome trace export is well-formed JSON whose begin/end events
 //      balance per thread, including spans recorded on pool workers.
-//   3. Metric counters are exact, not sampled: instructions retired, shards
-//      run, markers fired, and intervals cut match the pipeline's own
-//      results to the unit.
+//   3. Metric counters are exact, not sampled: instructions retired,
+//      markers fired, and intervals cut match the pipeline's own results
+//      to the unit.
 //
 // Every test runs in both build configurations; compiled-out builds
 // (-DSPM_TRACE=OFF) additionally assert that enabling the runtime switch
@@ -22,7 +22,6 @@
 #include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
-#include "markers/Sharded.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
@@ -35,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -45,12 +45,12 @@ using namespace spm;
 
 namespace {
 
-/// Mid-run cap, same spirit as engine/shard tests: spans and counters must
-/// be exact even when the run stops inside live loop nests.
+/// Mid-run cap, same spirit as the engine/segment tests: spans and counters
+/// must be exact even when the run stops inside live loop nests.
 constexpr uint64_t Cap = 1'000'000;
 
 /// Sets the ambient job count for one scope (same helper as parallel_test):
-/// the sharded tests need real pool workers even on a 1-CPU host, so the
+/// the pooled tests need real pool workers even on a 1-CPU host, so the
 /// per-thread span buffers and B/E balance get exercised across threads.
 class ScopedJobs {
 public:
@@ -252,6 +252,14 @@ struct JsonParser {
   }
 };
 
+/// Profiles gzip's train and ref inputs concurrently on two pool workers,
+/// the multi-input fan-out of `spm_tool bench`.
+std::vector<std::unique_ptr<CallLoopGraph>>
+profileOnPool(const PipelineCase &C) {
+  ScopedJobs Jobs(2);
+  return buildCallLoopGraphs(*C.B, C.Loops, {&C.W.Train, &C.W.Ref});
+}
+
 size_t countSubstr(const std::string &Hay, const std::string &Needle) {
   size_t N = 0;
   for (size_t Pos = Hay.find(Needle); Pos != std::string::npos;
@@ -288,27 +296,22 @@ TEST(ObsDifferential, PipelineOutputsByteIdentical) {
   EXPECT_EQ(OffDump, dumpRun(On));
 }
 
-// Same equivalence through the sharded driver, whose instrumentation rides
-// on pool workers: shard counts must not interact with the trace switch.
-TEST(ObsDifferential, ShardedOutputsByteIdentical) {
+// Same equivalence through runs on pool workers, whose instrumentation
+// lands in per-thread rings: the fan-out must not interact with the trace
+// switch.
+TEST(ObsDifferential, PooledOutputsByteIdentical) {
   ObsGuard Guard;
   PipelineCase C = makeCase();
-  ASSERT_FALSE(C.Markers.empty());
 
-  MarkerRun Off = runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers,
-                                            C.W.Ref, /*CollectBbv=*/true,
-                                            /*RecordFirings=*/true,
-                                            /*NShards=*/3, Cap);
-  std::string OffDump = dumpRun(Off);
-
+  auto Off = profileOnPool(C);
   spmTraceSetEnabled(true);
-  MarkerRun On = runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers,
-                                           C.W.Ref, /*CollectBbv=*/true,
-                                           /*RecordFirings=*/true,
-                                           /*NShards=*/3, Cap);
+  auto On = profileOnPool(C);
   spmTraceSetEnabled(false);
 
-  EXPECT_EQ(OffDump, dumpRun(On));
+  ASSERT_EQ(Off.size(), 2u);
+  ASSERT_EQ(On.size(), 2u);
+  for (size_t I = 0; I < Off.size(); ++I)
+    EXPECT_EQ(printGraph(*Off[I]), printGraph(*On[I])) << "input " << I;
 }
 
 // Disabled tracing must record nothing: no span events, no metric values.
@@ -339,14 +342,10 @@ TEST(ObsDifferential, DisabledRecordsNothing) {
 
 TEST(ChromeTrace, ValidJsonWithBalancedSpans) {
   ObsGuard Guard;
-  ScopedJobs Jobs(3);
   PipelineCase C = makeCase();
-  ASSERT_FALSE(C.Markers.empty());
 
   spmTraceSetEnabled(true);
-  runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
-                            /*CollectBbv=*/true, /*RecordFirings=*/false,
-                            /*NShards=*/3, Cap);
+  profileOnPool(C);
   spmTraceSetEnabled(false);
 
   std::string Json = traceToChromeJson();
@@ -359,12 +358,14 @@ TEST(ChromeTrace, ValidJsonWithBalancedSpans) {
   EXPECT_EQ(Begins, Ends);
 
   if (traceCompiledIn()) {
-    // The sharded run opens spans on the main thread (plan/warm/merge) and
-    // on pool workers (shard.exec inside pool.task); each thread's stream
-    // must balance independently.
+    // The pooled profiling opens spans on the main thread (parallel.for)
+    // and on pool workers (pipeline.build_graph inside pool.task); each
+    // thread's stream must balance independently.
     EXPECT_GT(traceEventCount(), 0u);
-    EXPECT_NE(Json.find("shard.exec"), std::string::npos);
+    EXPECT_NE(Json.find("parallel.for"), std::string::npos);
     EXPECT_NE(Json.find("pool.task"), std::string::npos);
+    EXPECT_EQ(countSubstr(Json, "\"name\": \"pipeline.build_graph\""), 4u)
+        << "one begin and one end per profiled input";
     std::vector<TraceThreadStats> Stats = traceThreadStats();
     ASSERT_GT(Stats.size(), 1u);
     for (const TraceThreadStats &S : Stats) {
@@ -450,8 +451,16 @@ TEST(ChromeTrace, ExitedWorkerBuffersAreRecycled) {
     GTEST_SKIP() << "ring buffer compiled out";
   ScopedJobs Jobs(3);
   spmTraceSetEnabled(true);
+  // Every region holds each task until all three have started, so every
+  // region runs on exactly three workers. Without the latch a fast worker
+  // can drain a region alone, and whether the first region registers as
+  // many rings as a later one would depend on scheduling.
   auto Region = [] {
-    parallelFor(16, [](size_t) { SPM_TRACE_SPAN("obs.recycle"); });
+    std::latch AllStarted(3);
+    parallelFor(3, [&](size_t) {
+      SPM_TRACE_SPAN("obs.recycle");
+      AllStarted.arrive_and_wait();
+    });
   };
   Region();
   // parallelFor joins its pool before returning, and a joined worker's
@@ -514,98 +523,34 @@ TEST(Metrics, ExactPipelineCounters) {
   EXPECT_EQ(metrics().counterValue("intervals.cut"), R.Intervals.size());
 }
 
-// Shard executions are counted exactly once per shard, and only by the
-// multi-shard path (NShards == 1 falls through to the plain driver).
-TEST(Metrics, ExactShardCounters) {
-  ObsGuard Guard;
-  ScopedJobs Jobs(3);
-  PipelineCase C = makeCase();
-  ASSERT_FALSE(C.Markers.empty());
-
-  spmTraceSetEnabled(true);
-  runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref, false,
-                            false, /*NShards=*/3, Cap);
-  spmTraceSetEnabled(false);
-
-  if (!traceCompiledIn()) {
-    EXPECT_EQ(metrics().counterValue("shard.runs"), 0u);
-    return;
-  }
-  EXPECT_EQ(metrics().counterValue("shard.runs"), 3u);
-
-  metrics().resetAll();
-  spmTraceSetEnabled(true);
-  runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref, false,
-                            false, /*NShards=*/1, Cap);
-  spmTraceSetEnabled(false);
-  EXPECT_EQ(metrics().counterValue("shard.runs"), 0u);
-  EXPECT_EQ(metrics().counterValue("vm.runs_fast"), 1u);
-}
-
-// Fault-injection counters are exact too: one injected shard fault means
-// exactly one fault.injected, one shard.retries, and one extra shard.runs
-// attempt — and the healed run's counters otherwise match a faultless one.
-TEST(Metrics, ExactFaultAndRetryCounters) {
+// Fault injection is counted exactly: one triggered failpoint means exactly
+// one fault.injected, and hits that do not trigger add nothing.
+TEST(Metrics, ExactFaultCounter) {
   ObsGuard Guard;
   if (!failpointsCompiledIn()) {
     // Compiled-out builds must refuse to arm rather than silently no-op.
     std::string Err;
-    EXPECT_FALSE(failpointsConfigure("shard.exec=throw:once", &Err));
+    EXPECT_FALSE(failpointsConfigure("ckpt.serialize=throw:once", &Err));
     EXPECT_NE(Err.find("compiled out"), std::string::npos) << Err;
     GTEST_SKIP() << "failpoints compiled out";
   }
-  ScopedJobs Jobs(3);
-  PipelineCase C = makeCase();
-  ASSERT_FALSE(C.Markers.empty());
-
-  std::string Base = dumpRun(runMarkerIntervalsSharded(
-      *C.B, C.Loops, *C.G, C.Markers, C.W.Ref, false, false,
-      /*NShards=*/3, Cap));
+  PipelineCheckpoint C;
+  C.Seed = 9;
+  C.Interp.TotalInstrs = 5;
+  std::string Base = serializeCheckpoint(C);
 
   std::string Err;
-  ASSERT_TRUE(failpointsConfigure("shard.exec=throw:once", &Err)) << Err;
+  ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw:once", &Err)) << Err;
   spmTraceSetEnabled(true);
-  MarkerRun Healed = runMarkerIntervalsSharded(*C.B, C.Loops, *C.G,
-                                               C.Markers, C.W.Ref, false,
-                                               false, /*NShards=*/3, Cap);
+  EXPECT_THROW(serializeCheckpoint(C), FailPointInjected);
+  // `once` has fired: the second hit passes and writes the same bytes.
+  EXPECT_EQ(serializeCheckpoint(C), Base);
   spmTraceSetEnabled(false);
-  EXPECT_EQ(failpointHits("shard.exec"), 4u); // 3 legs + 1 retry evaluated.
+  EXPECT_EQ(failpointHits("ckpt.serialize"), 2u);
   failpointsClear();
 
-  // Retried legs are pure replays: the healed run is byte-identical.
-  EXPECT_EQ(dumpRun(Healed), Base);
-  if (!traceCompiledIn()) {
-    EXPECT_EQ(metrics().counterValue("shard.runs"), 0u);
-    return;
-  }
-  EXPECT_EQ(metrics().counterValue("fault.injected"), 1u);
-  EXPECT_EQ(metrics().counterValue("shard.retries"), 1u);
-  EXPECT_EQ(metrics().counterValue("shard.runs"), 4u); // 3 legs + 1 retry.
-}
-
-// A retry budget of zero rethrows the injected fault to the caller, and the
-// retry counter stays at zero — exhaustion is not silently swallowed.
-TEST(Metrics, RetryExhaustionPropagatesFault) {
-  ObsGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
-  ScopedJobs Jobs(3);
-  PipelineCase C = makeCase();
-  ASSERT_FALSE(C.Markers.empty());
-
-  std::string Err;
-  ASSERT_TRUE(failpointsConfigure("shard.exec=throw", &Err)) << Err;
-  ShardRetryPolicy NoRetry;
-  NoRetry.MaxRetries = 0;
-  EXPECT_THROW(runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers,
-                                         C.W.Ref, false, false,
-                                         /*NShards=*/3, Cap,
-                                         PerfModelOptions(),
-                                         /*ShardSeconds=*/nullptr,
-                                         /*Bc=*/nullptr, NoRetry),
-               FailPointInjected);
-  failpointsClear();
-  EXPECT_EQ(metrics().counterValue("shard.retries"), 0u);
+  EXPECT_EQ(metrics().counterValue("fault.injected"),
+            traceCompiledIn() ? 1u : 0u);
 }
 
 // Every CRC rejection during checkpoint parsing is counted exactly once.
@@ -761,9 +706,8 @@ TEST(PhaseTrack, OneTimelineEventPerInterval) {
   ObsGuard Guard;
   PipelineCase C = makeCase();
   spmTraceSetEnabled(true);
-  MarkerRun Run = runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers,
-                                            C.W.Ref, false, false,
-                                            /*NShards=*/1, Cap);
+  MarkerRun Run = runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers,
+                                     C.W.Ref, false, false, Cap);
   spmTraceSetEnabled(false);
   ASSERT_FALSE(Run.Intervals.empty());
   if (!traceCompiledIn()) {
@@ -786,9 +730,8 @@ TEST(PhaseTrack, OneTimelineEventPerInterval) {
 TEST(PhaseTrack, DisabledRecordsNothing) {
   ObsGuard Guard;
   PipelineCase C = makeCase();
-  MarkerRun Run = runMarkerIntervalsSharded(*C.B, C.Loops, *C.G, C.Markers,
-                                            C.W.Ref, false, false,
-                                            /*NShards=*/1, Cap);
+  MarkerRun Run = runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers,
+                                     C.W.Ref, false, false, Cap);
   ASSERT_FALSE(Run.Intervals.empty());
   EXPECT_EQ(tracePhaseEventCount(), 0u);
 }

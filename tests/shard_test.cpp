@@ -1,11 +1,15 @@
-//===- tests/shard_test.cpp - sharded execution differential tests --------==//
+//===- tests/shard_test.cpp - checkpoint segment differential tests -------==//
 //
-// Proves the shard execution layer produces output byte-identical to the
-// uninterrupted engines: call-loop graph dumps, marker interval streams and
-// firing traces, fixed-interval BBV streams, and cache statistics must not
-// change for any shard count. Also covers checkpoint round-trips through
-// the versioned binary format (save -> serialize -> parse -> resume must
-// equal never-having-stopped), negative parsing paths, structural frame
+// Proves that cutting one deterministic run into checkpointed segments is
+// invisible in its outputs. Through the serial segment chain of
+// DiffHarness.h — every segment a fresh interpreter and observer stack
+// resumed from the previous boundary's serialized checkpoint — call-loop
+// graph dumps, marker interval streams and firing traces, and fixed-
+// interval BBV streams must equal the uninterrupted drivers' for 1, 2, 3
+// and 7 segments, and whole-run cache counters must survive perf-model
+// state transfer. A tracker restored mid-run must keep profiling into the
+// same graph byte-identically. Also covers checkpoint round-trips through
+// the versioned binary format, negative parsing paths, structural frame
 // validation, and a seeded random-boundary fuzz over the segment chain.
 //
 //===----------------------------------------------------------------------==//
@@ -16,31 +20,31 @@
 #include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
-#include "markers/Sharded.h"
 #include "workloads/Workloads.h"
 
 #include "CkptTestUtil.h"
+#include "DiffHarness.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 using namespace spm;
+using namespace spm::difftest;
 
 namespace {
 
-/// Same cap as engine_test: truncates every workload mid-run, so shard
+/// Same cap as engine_test: truncates every workload mid-run, so segment
 /// boundaries land in live loop/call nests and the final segment exercises
 /// the limit-hit path.
 constexpr uint64_t Cap = 1'500'000;
 
-/// Shard counts under test. 1 must take the no-plan fast path; 7 does not
-/// divide anything evenly, so boundaries fall at ragged positions.
-const unsigned ShardCounts[] = {1, 2, 3, 7};
+/// Segment counts under test. 1 is the chain's degenerate whole run; 7
+/// does not divide anything evenly, so boundaries fall at ragged positions.
+const unsigned SegmentCounts[] = {1, 2, 3, 7};
 
 struct RunCase {
   std::string Name;
@@ -60,54 +64,18 @@ std::vector<RunCase> differentialCases() {
   return Cases;
 }
 
-void expectSameCounters(const PerfCounters &A, const PerfCounters &B,
-                        const std::string &Ctx) {
-  EXPECT_EQ(A.Instrs, B.Instrs) << Ctx;
-  EXPECT_EQ(A.BaseCycles, B.BaseCycles) << Ctx;
-  EXPECT_EQ(A.L1Accesses, B.L1Accesses) << Ctx;
-  EXPECT_EQ(A.L1Misses, B.L1Misses) << Ctx;
-  EXPECT_EQ(A.L2Accesses, B.L2Accesses) << Ctx;
-  EXPECT_EQ(A.L2Misses, B.L2Misses) << Ctx;
-  EXPECT_EQ(A.Branches, B.Branches) << Ctx;
-  EXPECT_EQ(A.Mispredicts, B.Mispredicts) << Ctx;
-}
-
-void expectSameIntervals(const std::vector<IntervalRecord> &A,
-                         const std::vector<IntervalRecord> &B,
-                         const std::string &Ctx) {
-  ASSERT_EQ(A.size(), B.size()) << Ctx;
-  for (size_t I = 0; I < A.size(); ++I) {
-    std::string C = Ctx + " interval " + std::to_string(I);
-    EXPECT_EQ(A[I].StartInstr, B[I].StartInstr) << C;
-    EXPECT_EQ(A[I].NumInstrs, B[I].NumInstrs) << C;
-    EXPECT_EQ(A[I].PhaseId, B[I].PhaseId) << C;
-    expectSameCounters(A[I].Perf, B[I].Perf, C);
-    ASSERT_EQ(A[I].Vector.size(), B[I].Vector.size()) << C;
-    for (size_t J = 0; J < A[I].Vector.size(); ++J) {
-      EXPECT_EQ(A[I].Vector[J].first, B[I].Vector[J].first) << C;
-      EXPECT_EQ(A[I].Vector[J].second, B[I].Vector[J].second) << C;
-    }
-  }
-}
-
-void expectSameRun(const RunResult &A, const RunResult &B,
-                   const std::string &Ctx) {
-  EXPECT_EQ(A.TotalInstrs, B.TotalInstrs) << Ctx;
-  EXPECT_EQ(A.TotalBlocks, B.TotalBlocks) << Ctx;
-  EXPECT_EQ(A.TotalMemAccesses, B.TotalMemAccesses) << Ctx;
-  EXPECT_EQ(A.HitInstrLimit, B.HitInstrLimit) << Ctx;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Differential: sharded drivers vs uninterrupted engines
+// Differential: segment chains vs uninterrupted drivers
 //===----------------------------------------------------------------------===//
 
-// Call-loop graph dump: legacy run() + listener profiling vs the sharded
-// build for every shard count. Byte-identical dumps prove the per-shard
-// traversal logs concatenate into the exact global traversal-end order,
-// including the traversal split across a boundary.
+// Call-loop graph dump: legacy run() + listener profiling vs a chain whose
+// segments all profile into one graph, for every segment count.
+// Byte-identical dumps prove the restored trackers record traversals in
+// the exact global traversal-end order, including each traversal split
+// across a boundary (closed by the segment that pops its frame, with the
+// partial count carried in the checkpoint).
 TEST(ShardDifferential, CallLoopGraphDump) {
   for (const RunCase &RC : differentialCases()) {
     Workload W =
@@ -125,19 +93,26 @@ TEST(ShardDifferential, CallLoopGraphDump) {
     }
     std::string Ref = printGraph(Legacy);
     ASSERT_FALSE(Ref.empty()) << RC.Name;
+    uint64_t Total = runLength(*B, RC.In, Cap);
 
-    for (unsigned N : ShardCounts) {
-      auto G = buildCallLoopGraphSharded(*B, Loops, RC.In, N, Cap);
-      EXPECT_EQ(Ref, printGraph(*G))
-          << RC.Name << " shards=" << N;
+    for (unsigned N : SegmentCounts) {
+      std::string Ctx = RC.Name + " segments=" + std::to_string(N);
+      CallLoopGraph G(*B, Loops);
+      runSegmentChain(
+          [&] {
+            return std::make_unique<GraphStack>(*B, Loops, G, RC.In, nullptr);
+          },
+          evenBoundaries(Total, N, Cap), Ctx);
+      G.finalize();
+      EXPECT_EQ(Ref, printGraph(G)) << Ctx;
     }
   }
 }
 
 // Marker-cut intervals, firing trace, and run totals: the full pipeline
-// stack through runMarkerIntervalsSharded must reproduce the single-run
-// driver exactly — intervals carry BBVs and perf-counter deltas, so this
-// also transitively checks cache and predictor state restoration.
+// stack through a segment chain must reproduce runMarkerIntervals exactly —
+// intervals carry BBVs and perf-counter deltas, so this also transitively
+// checks cache and predictor state restoration.
 TEST(ShardDifferential, MarkerIntervalsAndFirings) {
   for (const RunCase &RC : differentialCases()) {
     Workload W =
@@ -154,20 +129,21 @@ TEST(ShardDifferential, MarkerIntervalsAndFirings) {
         runMarkerIntervals(*B, Loops, *G, Sel.Markers, RC.In,
                            /*CollectBbv=*/true, /*RecordFirings=*/true, Cap);
 
-    for (unsigned N : ShardCounts) {
-      std::string Ctx = RC.Name + " shards=" + std::to_string(N);
-      MarkerRun Got = runMarkerIntervalsSharded(
-          *B, Loops, *G, Sel.Markers, RC.In, /*CollectBbv=*/true,
-          /*RecordFirings=*/true, N, Cap);
-      EXPECT_EQ(Ref.Firings, Got.Firings) << Ctx;
-      expectSameRun(Ref.Run, Got.Run, Ctx);
-      expectSameIntervals(Ref.Intervals, Got.Intervals, Ctx);
+    for (unsigned N : SegmentCounts) {
+      std::string Ctx = RC.Name + " segments=" + std::to_string(N);
+      MarkerRun Got = runSegmentChain(
+          [&] {
+            return std::make_unique<MarkerStack>(*B, Loops, *G, Sel.Markers,
+                                                 RC.In, nullptr);
+          },
+          evenBoundaries(Ref.Run.TotalInstrs, N, Cap), Ctx);
+      expectSameMarkerRun(Ref, Got, Ctx);
     }
   }
 }
 
 // Fixed-length intervals with BBVs: a boundary almost never coincides with
-// an interval cut, so every inner shard starts inside an open interval —
+// an interval cut, so every inner segment starts inside an open interval —
 // the carried partial BBV and counter snapshot must stitch it seamlessly.
 TEST(ShardDifferential, FixedIntervalsAndBbv) {
   constexpr uint64_t Len = 100'000;
@@ -178,12 +154,16 @@ TEST(ShardDifferential, FixedIntervalsAndBbv) {
 
     std::vector<IntervalRecord> Ref =
         runFixedIntervals(*B, RC.In, Len, /*CollectBbv=*/true, Cap);
+    uint64_t Total = runLength(*B, RC.In, Cap);
 
-    for (unsigned N : ShardCounts) {
-      std::vector<IntervalRecord> Got = runFixedIntervalsSharded(
-          *B, RC.In, Len, /*CollectBbv=*/true, N, Cap);
-      expectSameIntervals(Ref, Got,
-                          RC.Name + " shards=" + std::to_string(N));
+    for (unsigned N : SegmentCounts) {
+      std::string Ctx = RC.Name + " segments=" + std::to_string(N);
+      MarkerRun Got = runSegmentChain(
+          [&] {
+            return std::make_unique<FixedStack>(*B, RC.In, nullptr, Len);
+          },
+          evenBoundaries(Total, N, Cap), Ctx);
+      expectSameIntervals(Ref, Got.Intervals, Ctx);
     }
   }
 }
@@ -199,14 +179,10 @@ TEST(ShardDifferential, CacheCountersAcrossSegments) {
 
     PerfModel Full;
     RunResult RefR = Interpreter(*B, RC.In).runFast(Full, Cap);
-    uint64_t Total = RefR.TotalInstrs;
 
-    for (unsigned N : ShardCounts) {
-      std::string Ctx = RC.Name + " shards=" + std::to_string(N);
-      std::vector<uint64_t> Until;
-      for (unsigned S = 0; S + 1 < N; ++S)
-        Until.push_back(Total * (S + 1) / N);
-      Until.push_back(Cap);
+    for (unsigned N : SegmentCounts) {
+      std::string Ctx = RC.Name + " segments=" + std::to_string(N);
+      std::vector<uint64_t> Until = evenBoundaries(RefR.TotalInstrs, N, Cap);
 
       PerfModelState St;
       InterpCheckpoint Cks[2];
@@ -232,14 +208,51 @@ TEST(ShardDifferential, CacheCountersAcrossSegments) {
   }
 }
 
+// A tracker restored from a mid-run saveState keeps profiling into the
+// graph the first segment profiled into: two segments, one graph, and the
+// dump must be byte-identical to buildCallLoopGraph's — every edge's count,
+// mean, CoV and max, because the restored tracker closes the
+// boundary-spanning traversals with their carried partial counts, in the
+// uninterrupted run's order.
+TEST(ShardGraph, TrackerStateCarriesOneGraphAcrossBoundary) {
+  Workload W = WorkloadRegistry::create("gzip");
+  auto B = lower(*W.Program, LoweringOptions::O2());
+  LoopIndex Loops = LoopIndex::build(*B);
+
+  std::string Ref = printGraph(*buildCallLoopGraph(*B, Loops, W.Ref, Cap));
+  uint64_t Mid = runLength(*B, W.Ref, Cap) / 2;
+
+  CallLoopGraph G(*B, Loops);
+  InterpCheckpoint C;
+  TrackerCheckpoint TC;
+  {
+    CallLoopTracker T(*B, Loops, G);
+    T.setProfileTarget(&G);
+    T.onRunStart(*B, W.Ref);
+    Interpreter(*B, W.Ref).runFastSegment(T, nullptr, Mid, &C);
+    TC = T.saveState();
+  }
+  ASSERT_FALSE(TC.Stack.empty()) << "boundary fell outside every frame";
+  {
+    CallLoopTracker T(*B, Loops, G);
+    T.setProfileTarget(&G);
+    ASSERT_TRUE(T.restoreState(TC));
+    RunResult R = Interpreter(*B, W.Ref).runFastSegment(T, &C, Cap);
+    T.onRunEnd(R.TotalInstrs);
+  }
+  G.finalize();
+  EXPECT_EQ(Ref, printGraph(G));
+}
+
 //===----------------------------------------------------------------------===//
 // Checkpoint round-trip through the binary format
 //===----------------------------------------------------------------------===//
 
 // save -> serialize -> parse -> restore -> resume must equal never having
-// stopped: the parsed checkpoint drives a completely fresh pipeline stack
-// for the second half of the run, and the concatenated outputs must match
-// the uninterrupted driver byte for byte.
+// stopped: the serialized checkpoint drives a completely fresh pipeline
+// stack for the second half of the run, and the concatenated outputs must
+// match the uninterrupted driver byte for byte. Re-serializing the parsed
+// checkpoint must reproduce the saved bytes exactly.
 TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
   for (const RunCase &RC : differentialCases()) {
     Workload W =
@@ -258,81 +271,28 @@ TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
     uint64_t Mid = Ref.Run.TotalInstrs / 2;
     ASSERT_GT(Mid, 0u) << RC.Name;
 
-    // First half: full stack, suspend at Mid, capture everything.
-    PipelineCheckpoint C;
-    std::vector<IntervalRecord> Iv1;
-    std::vector<int32_t> Firings;
+    MarkerRun Got;
+    std::string Bytes;
     {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
-      CallLoopTracker Tracker(*B, Loops, *G);
-      MarkerRuntime Runtime(Sel.Markers, *G);
-      Tracker.addListener(&Runtime);
-      Runtime.setCallback([&](int32_t Idx) {
-        Ivb.requestCut(Idx);
-        Firings.push_back(Idx);
-      });
-      StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker,
-                                                                 Ivb, Perf);
-      Interpreter Interp(*B, RC.In);
-      Mux.onRunStart(*B, RC.In);
-      Interp.runFastSegment(Mux, nullptr, Mid, &C.Interp);
-      C.Seed = RC.In.seed();
-      C.HasTracker = true;
-      C.Tracker = Tracker.saveState();
-      C.HasInterval = true;
-      C.Interval = Ivb.saveState();
-      C.HasPerf = true;
-      C.Perf = Perf.saveState();
-      C.HasMarkers = true;
-      C.Markers = Runtime.saveState();
-      Iv1 = Ivb.takeIntervals();
+      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In, nullptr);
+      Bytes = runChainSegment(S, "", Mid, /*Last=*/false, Got, RC.Name);
     }
+    // Segments suspend at the first block boundary at or past Mid.
+    EXPECT_GE(Got.Run.TotalInstrs, Mid) << RC.Name;
+    EXPECT_LT(Got.Run.TotalInstrs, Ref.Run.TotalInstrs) << RC.Name;
 
-    // Through the wire format.
-    std::string Bytes = serializeCheckpoint(C);
     std::string Err;
     std::optional<PipelineCheckpoint> Parsed = parseCheckpoint(Bytes, &Err);
     ASSERT_TRUE(Parsed.has_value()) << RC.Name << ": " << Err;
     EXPECT_EQ(Parsed->Seed, RC.In.seed()) << RC.Name;
-    EXPECT_TRUE(Parsed->Interp.validateFor(*B, &Err)) << RC.Name << ": "
-                                                      << Err;
-    EXPECT_EQ(C.Interp.Frames.size(), Parsed->Interp.Frames.size())
-        << RC.Name;
-    for (size_t I = 0; I < C.Interp.Frames.size(); ++I)
-      EXPECT_TRUE(C.Interp.Frames[I] == Parsed->Interp.Frames[I])
-          << RC.Name << " frame " << I;
+    EXPECT_FALSE(Parsed->Interp.Frames.empty()) << RC.Name;
+    EXPECT_EQ(serializeCheckpoint(*Parsed), Bytes) << RC.Name;
 
-    // Second half: a fresh stack resumed from the *parsed* checkpoint.
-    std::vector<IntervalRecord> Iv2;
-    RunResult R2;
     {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
-      CallLoopTracker Tracker(*B, Loops, *G);
-      MarkerRuntime Runtime(Sel.Markers, *G);
-      Tracker.addListener(&Runtime);
-      Runtime.setCallback([&](int32_t Idx) {
-        Ivb.requestCut(Idx);
-        Firings.push_back(Idx);
-      });
-      StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker,
-                                                                 Ivb, Perf);
-      ASSERT_TRUE(Tracker.restoreState(Parsed->Tracker)) << RC.Name;
-      ASSERT_TRUE(Perf.restoreState(Parsed->Perf)) << RC.Name;
-      ASSERT_TRUE(Runtime.restoreState(Parsed->Markers)) << RC.Name;
-      Ivb.restoreState(Parsed->Interval);
-      Interpreter Interp(*B, RC.In);
-      R2 = Interp.runFastSegment(Mux, &Parsed->Interp, Cap);
-      Mux.onRunEnd(R2.TotalInstrs);
-      Iv2 = Ivb.takeIntervals();
+      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In, nullptr);
+      runChainSegment(S, Bytes, Cap, /*Last=*/true, Got, RC.Name);
     }
-
-    EXPECT_EQ(Ref.Firings, Firings) << RC.Name;
-    expectSameRun(Ref.Run, R2, RC.Name);
-    Iv1.insert(Iv1.end(), std::make_move_iterator(Iv2.begin()),
-               std::make_move_iterator(Iv2.end()));
-    expectSameIntervals(Ref.Intervals, Iv1, RC.Name);
+    expectSameMarkerRun(Ref, Got, RC.Name);
   }
 }
 
@@ -531,7 +491,6 @@ TEST(ShardCheckpoint, ValidateForRejectsStructuralNonsense) {
   // A genuine mid-run checkpoint passes.
   InterpCheckpoint Good;
   {
-    struct NullObs {};
     NullObs O;
     Interpreter Interp(*B, W.Ref);
     RunResult R = Interp.runFast(O, Cap);
@@ -574,49 +533,8 @@ TEST(ShardCheckpoint, ValidateForRejectsStructuralNonsense) {
 }
 
 //===----------------------------------------------------------------------===//
-// Randomized shard-boundary fuzz
+// Randomized segment-boundary fuzz
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Records the full event sequence for exact stream-identity comparison.
-class RecordingObserver : public ExecutionObserver {
-public:
-  struct Event {
-    enum class Kind { Block, Mem, Branch, Call, Ret } K;
-    uint64_t A = 0;
-    uint64_t B = 0;
-    bool Flag = false;
-    bool Backward = false;
-
-    bool operator==(const Event &O) const {
-      return K == O.K && A == O.A && B == O.B && Flag == O.Flag &&
-             Backward == O.Backward;
-    }
-  };
-
-  void onBlock(const LoweredBlock &Blk) override {
-    Events.push_back({Event::Kind::Block, Blk.Addr, 0, false, false});
-  }
-  void onMemAccess(uint64_t Addr, bool IsStore) override {
-    Events.push_back({Event::Kind::Mem, Addr, 0, IsStore, false});
-  }
-  void onBranch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
-                bool Conditional) override {
-    (void)Conditional;
-    Events.push_back({Event::Kind::Branch, Pc, Target, Taken, Backward});
-  }
-  void onCall(uint64_t Site, uint32_t Callee) override {
-    Events.push_back({Event::Kind::Call, Callee, Site, false, false});
-  }
-  void onReturn(uint32_t Callee) override {
-    Events.push_back({Event::Kind::Ret, Callee, 0, false, false});
-  }
-
-  std::vector<Event> Events;
-};
-
-} // namespace
 
 // Twenty seeded random boundary sets, each splitting the run into up to
 // nine segments at arbitrary positions (mid-loop, mid-call — wherever the
@@ -714,66 +632,4 @@ TEST(ShardFuzz, BoundaryAtRunEndResumesToNothing) {
   EXPECT_EQ(Got.Events.size(), EventsAfterFull);
   expectSameRun(RefR, R2, "zero-length resume");
   EXPECT_EQ(C1.TotalInstrs, C2.TotalInstrs);
-}
-
-// Graph merge via RunningStat::merge (Chan's parallel Welford): counts,
-// sums, and maxima must combine exactly; means must agree to floating
-// tolerance with the sequential accumulation. This is the approximate
-// alternative to ordered-log replay.
-TEST(ShardMerge, WelfordGraphMergeMatchesSequentialStats) {
-  Workload W = WorkloadRegistry::create("gzip");
-  auto B = lower(*W.Program, LoweringOptions::O2());
-  LoopIndex Loops = LoopIndex::build(*B);
-
-  auto Ref = buildCallLoopGraph(*B, Loops, W.Ref, Cap);
-
-  // Split the same run into two tracker passes at a midpoint and merge.
-  struct NullObs {};
-  NullObs O;
-  Interpreter Probe(*B, W.Ref);
-  uint64_t Total = Probe.runFast(O, Cap).TotalInstrs;
-
-  CallLoopGraph Acc(*B, Loops);
-  CallLoopGraph Part0(*B, Loops), Part1(*B, Loops);
-  {
-    InterpCheckpoint C;
-    PipelineCheckpoint Pc;
-    // Segment 1.
-    {
-      CallLoopTracker T(*B, Loops, Part0);
-      T.setProfileTarget(&Part0);
-      T.onRunStart(*B, W.Ref);
-      Interpreter Interp(*B, W.Ref);
-      Interp.runFastSegment(T, nullptr, Total / 2, &C);
-      Pc.Tracker = T.saveState();
-    }
-    // Segment 2 on a fresh tracker writing into a different graph.
-    {
-      CallLoopTracker T(*B, Loops, Part1);
-      T.setProfileTarget(&Part1);
-      ASSERT_TRUE(T.restoreState(Pc.Tracker));
-      Interpreter Interp(*B, W.Ref);
-      RunResult R = Interp.runFastSegment(T, &C, Cap);
-      T.onRunEnd(R.TotalInstrs);
-    }
-  }
-  Acc.mergeFrom(Part0);
-  Acc.mergeFrom(Part1);
-  Acc.finalize();
-
-  auto RefEdges = Ref->sortedEdges();
-  auto GotEdges = Acc.sortedEdges();
-  ASSERT_EQ(RefEdges.size(), GotEdges.size());
-  for (size_t I = 0; I < RefEdges.size(); ++I) {
-    const CallLoopEdge *A = RefEdges[I], *G = GotEdges[I];
-    EXPECT_EQ(A->From, G->From);
-    EXPECT_EQ(A->To, G->To);
-    EXPECT_EQ(A->Hier.count(), G->Hier.count())
-        << "edge " << I << " count drifted";
-    EXPECT_DOUBLE_EQ(A->Hier.sum(), G->Hier.sum()) << "edge " << I;
-    EXPECT_DOUBLE_EQ(A->Hier.max(), G->Hier.max()) << "edge " << I;
-    EXPECT_NEAR(A->Hier.mean(), G->Hier.mean(),
-                1e-9 * std::max(1.0, std::abs(A->Hier.mean())))
-        << "edge " << I;
-  }
 }

@@ -146,60 +146,6 @@ TEST(RunningStat, CovIsStddevOverMean) {
   EXPECT_NEAR(S.cov(), 5.0 / 15.0, 1e-12);
 }
 
-TEST(RunningStat, MergeEqualsSequential) {
-  RunningStat A, B, Whole;
-  for (int I = 0; I < 100; ++I) {
-    double X = std::sin(I) * 10 + I;
-    (I < 37 ? A : B).add(X);
-    Whole.add(X);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), Whole.count());
-  EXPECT_NEAR(A.mean(), Whole.mean(), 1e-9);
-  EXPECT_NEAR(A.variance(), Whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(A.max(), Whole.max());
-}
-
-TEST(RunningStat, MergeEmptyIntoEmpty) {
-  RunningStat A, B;
-  A.merge(B);
-  EXPECT_EQ(A.count(), 0u);
-  EXPECT_EQ(A.mean(), 0.0);
-  EXPECT_EQ(A.variance(), 0.0);
-  EXPECT_EQ(A.min(), 0.0);
-  EXPECT_EQ(A.max(), 0.0);
-}
-
-TEST(RunningStat, MergeSingleSamples) {
-  // n=1 + n=1: the parallel-merge cross term carries all the variance.
-  RunningStat A, B;
-  A.add(2.0);
-  B.add(6.0);
-  A.merge(B);
-  EXPECT_EQ(A.count(), 2u);
-  EXPECT_DOUBLE_EQ(A.mean(), 4.0);
-  EXPECT_NEAR(A.variance(), 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(A.min(), 2.0);
-  EXPECT_DOUBLE_EQ(A.max(), 6.0);
-  EXPECT_DOUBLE_EQ(A.sum(), 8.0);
-}
-
-TEST(RunningStat, MergeSingleIntoMany) {
-  // n=1 merged into a populated accumulator equals adding the sample.
-  RunningStat Many, One, Seq;
-  for (double X : {1.0, 4.0, 9.0, 16.0}) {
-    Many.add(X);
-    Seq.add(X);
-  }
-  One.add(-3.0);
-  Seq.add(-3.0);
-  Many.merge(One);
-  EXPECT_EQ(Many.count(), Seq.count());
-  EXPECT_NEAR(Many.mean(), Seq.mean(), 1e-12);
-  EXPECT_NEAR(Many.variance(), Seq.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(Many.min(), -3.0);
-}
-
 TEST(RunningStat, FromMomentsRoundTrip) {
   RunningStat S;
   for (double X : {2.5, -1.0, 7.25, 3.0})
@@ -231,19 +177,6 @@ TEST(RunningStat, FromMomentsZeroCountIsEmpty) {
   EXPECT_DOUBLE_EQ(R.mean(), 3.0);
   EXPECT_DOUBLE_EQ(R.min(), 3.0);
   EXPECT_DOUBLE_EQ(R.max(), 3.0);
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat A, Empty;
-  A.add(1);
-  A.add(2);
-  RunningStat Copy = A;
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), Copy.count());
-  EXPECT_DOUBLE_EQ(A.mean(), Copy.mean());
-  Empty.merge(A);
-  EXPECT_EQ(Empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(Empty.mean(), 1.5);
 }
 
 //===----------------------------------------------------------------------===//

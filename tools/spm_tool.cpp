@@ -29,7 +29,6 @@
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "markers/Serialize.h"
-#include "markers/Sharded.h"
 #include "phase/Metrics.h"
 #include "phase/PhaseStats.h"
 #include "support/AtomicFile.h"
@@ -46,10 +45,10 @@
 #include <memory>
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -92,7 +91,7 @@ int usage() {
       "        --metrics-out FILE enables spmtrace and writes the metrics\n"
       "        registry as JSONL ('-' = stderr as text)\n"
       "        --failpoints SPEC arms named fault-injection points, e.g.\n"
-      "        ckpt.write=partial:3,shard.exec=throw:every:2 (testing;\n"
+      "        ckpt.write=partial:3,ckpt.read=throw:every:2 (testing;\n"
       "        needs an SPM_FAILPOINTS=ON build, see docs/robustness.md)\n"
       "        report --per-phase prints the per-phase attribution table;\n"
       "        --per-phase-out FILE writes it as JSONL with a provenance\n"
@@ -103,8 +102,7 @@ int usage() {
       "bench --profile measures per-stage event throughput of the virtual\n"
       "run() path (legacy arm) vs runFast (engine arm) and the plain and\n"
       "fused bytecode tiers; JSON lands in BENCH_engine.json unless -o\n"
-      "overrides it; the sharded-execution stage additionally writes\n"
-      "BENCH_shard.json\n");
+      "overrides it\n");
   return 2;
 }
 
@@ -223,29 +221,63 @@ bool valueOpt(const std::string &Arg, const char *Flag, int &I, int Argc,
   return false;
 }
 
+/// Parses \p Text as a whole non-negative decimal integer no larger than
+/// \p Max. On failure prints `arg[<Flag>]: <detail>` and returns false, so
+/// `--ilower 10k` or `--jobs four` is refused instead of running on a
+/// silently truncated value.
+bool parseCount(const char *Flag, const std::string &Text, uint64_t &Out,
+                uint64_t Max = std::numeric_limits<uint64_t>::max()) {
+  const char *End = Text.data() + Text.size();
+  uint64_t V = 0;
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Text.empty() || Ptr != End) {
+    std::fprintf(stderr,
+                 "arg[%s]: expected a non-negative integer, got '%s'\n",
+                 Flag, Text.c_str());
+    return false;
+  }
+  if (Ec == std::errc::result_out_of_range || V > Max) {
+    std::fprintf(stderr, "arg[%s]: %s is out of range (max %llu)\n", Flag,
+                 Text.c_str(), static_cast<unsigned long long>(Max));
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
 CommonArgs parseArgs(int Argc, char **Argv, int Start) {
   CommonArgs A;
   A.Config.ILower = 10000;
   std::string V;
+  uint64_t N = 0;
   for (int I = Start; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--input" && I + 1 < Argc) {
-      A.UseRef = std::strcmp(Argv[++I], "ref") == 0;
+      std::string In = Argv[++I];
+      if (In != "train" && In != "ref") {
+        std::fprintf(stderr, "arg[--input]: expected train|ref, got '%s'\n",
+                     In.c_str());
+        A.Bad = true;
+      }
+      A.UseRef = In == "ref";
     } else if (Arg == "-o" && I + 1 < Argc) {
       A.OutPath = Argv[++I];
     } else if (Arg == "--ilower" && I + 1 < Argc) {
-      A.Config.ILower = std::strtoull(Argv[++I], nullptr, 10);
+      A.Bad |= !parseCount("--ilower", Argv[++I], A.Config.ILower);
     } else if (Arg == "--limit" && I + 1 < Argc) {
       A.Config.Limit = true;
-      A.Config.MaxLimit = std::strtoull(Argv[++I], nullptr, 10);
+      A.Bad |= !parseCount("--limit", Argv[++I], A.Config.MaxLimit);
     } else if (Arg == "--procs-only") {
       A.Config.ProceduresOnly = true;
     } else if (Arg == "--profile") {
       A.Profile = true;
     } else if (Arg == "--reps" && I + 1 < Argc) {
-      A.Reps = std::atoi(Argv[++I]);
+      if (parseCount("--reps", Argv[++I], N, INT_MAX))
+        A.Reps = static_cast<int>(N);
+      else
+        A.Bad = true;
     } else if (Arg == "--at" && I + 1 < Argc) {
-      A.At = std::strtoull(Argv[++I], nullptr, 10);
+      A.Bad |= !parseCount("--at", Argv[++I], A.At);
     } else if (valueOpt(Arg, "--intervals", I, Argc, Argv, V)) {
       A.IntervalsPath = V;
     } else if (valueOpt(Arg, "--trace-out", I, Argc, Argv, V)) {
@@ -274,7 +306,7 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
                 std::strtoll(V.c_str() + Eq + 1, nullptr, 10)));
       }
     } else if (valueOpt(Arg, "--seed", I, Argc, Argv, V)) {
-      A.Seed = std::strtoull(V.c_str(), nullptr, 10);
+      A.Bad |= !parseCount("--seed", V, A.Seed);
     } else if (Arg == "--split-irreducible") {
       A.SplitIrreducible = true;
     } else if (Arg == "--report") {
@@ -284,7 +316,10 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
     } else if (valueOpt(Arg, "--per-phase-out", I, Argc, Argv, V)) {
       A.PerPhaseOut = V;
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      setParallelJobs(std::atoi(Argv[++I]));
+      if (parseCount("--jobs", Argv[++I], N, INT_MAX))
+        setParallelJobs(static_cast<int>(N));
+      else
+        A.Bad = true;
     } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
       std::fprintf(stderr, "unknown option %s\n", Arg.c_str());
       A.Bad = true;
@@ -564,15 +599,6 @@ int cmdBenchProfile(const CommonArgs &A) {
                                        "cache"};
   uint64_t TotalEvents = 0;
 
-  // Sharded-execution stage: the full marker pipeline through
-  // runMarkerIntervalsSharded. On a single-CPU container there is no
-  // speedup to claim, so what is recorded is parity (byte-identical output
-  // is enforced by the "shard" ctest label), the shards=1 wrapper overhead
-  // against the plain runFast driver, and per-shard wall times.
-  constexpr unsigned ShardN = 4;
-  std::string ShardDetail;
-  char Buf0[256];
-
   // Every rep of a stage runs under an RAII ScopedMetricTimer booking into
   // the registry histogram "bench.<workload>.<stage>.<arm>_s". Recording
   // happens in the timer's destructor, so a rep that throws is still
@@ -808,41 +834,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         I.runBytecode(Fused, Perf, Cap);
       });
 
-      timeReps(stageHist(Name, "shard", "base"), [&] {
-        runMarkerIntervals(*Bin, Loops, *G, Sel.Markers, In,
-                           /*CollectBbv=*/false, /*RecordFirings=*/false,
-                           Cap);
-      });
-      timeReps(stageHist(Name, "shard", "shards1"), [&] {
-        runMarkerIntervalsSharded(*Bin, Loops, *G, Sel.Markers, In,
-                                  /*CollectBbv=*/false,
-                                  /*RecordFirings=*/false, /*NShards=*/1,
-                                  Cap);
-      });
-      std::vector<double> PerShard;
-      timeReps(stageHist(Name, "shard", "shardsN"), [&] {
-        PerShard.clear();
-        runMarkerIntervalsSharded(*Bin, Loops, *G, Sel.Markers, In,
-                                  /*CollectBbv=*/false,
-                                  /*RecordFirings=*/false, ShardN, Cap,
-                                  PerfModelOptions(), &PerShard);
-      });
-
-      std::snprintf(Buf0, sizeof(Buf0),
-                    "    {\"name\": \"%s\", \"base_s\": %.6f, "
-                    "\"shards1_s\": %.6f, \"shards%u_s\": %.6f, "
-                    "\"per_shard_s\": [",
-                    Name.c_str(), bestOf(Name, "shard", "base"),
-                    bestOf(Name, "shard", "shards1"), ShardN,
-                    bestOf(Name, "shard", "shardsN"));
-      ShardDetail +=
-          ShardDetail.empty() ? Buf0 : (std::string(",\n") + Buf0);
-      for (size_t S = 0; S < PerShard.size(); ++S) {
-        std::snprintf(Buf0, sizeof(Buf0), "%s%.6f", S ? ", " : "",
-                      PerShard[S]);
-        ShardDetail += Buf0;
-      }
-      ShardDetail += "]}";
     } catch (const std::exception &E) {
       // Partial data for this workload is already in the registry; finish
       // the report with what exists instead of dying with nothing.
@@ -966,45 +957,6 @@ int cmdBenchProfile(const CommonArgs &A) {
     return 1;
   }
   std::fprintf(stderr, "wrote %s\n", OutPath.c_str());
-
-  // Shard-stage summary + BENCH_shard.json, again from the registry.
-  double ShardBaseS = stageSeconds("shard", "base");
-  double Shard1S = stageSeconds("shard", "shards1");
-  double ShardNSumS = stageSeconds("shard", "shardsN");
-  if (!(ShardBaseS > 0.0) || !(Shard1S > 0.0) || !(ShardNSumS > 0.0)) {
-    std::fprintf(stderr,
-                 "bench: shard stage has no complete timings; skipping "
-                 "BENCH_shard.json\n");
-    return StageError.empty() ? 0 : 1;
-  }
-  double Overhead1 = Shard1S / ShardBaseS - 1.0;
-  std::printf("\nshard stage (marker pipeline, %u-way):\n", ShardN);
-  std::printf("  runFast baseline  %.3fs\n", ShardBaseS);
-  std::printf("  shards=1          %.3fs  (overhead %+.1f%%)\n", Shard1S,
-              Overhead1 * 100.0);
-  std::printf("  shards=%u          %.3fs  (plan + warm + %u shards, jobs=%u)\n",
-              ShardN, ShardNSumS, ShardN, parallelJobs());
-
-  std::string SJson = "{\n  \"bench\": \"shard-profile\",\n";
-  std::snprintf(Buf0, sizeof(Buf0),
-                "  \"cap_instrs\": %llu,\n  \"reps\": %d,\n"
-                "  \"jobs\": %u,\n  \"shards\": %u,\n",
-                static_cast<unsigned long long>(Cap), Reps, parallelJobs(),
-                ShardN);
-  SJson += Buf0;
-  std::snprintf(Buf0, sizeof(Buf0),
-                "  \"base_s\": %.6f,\n  \"shards1_s\": %.6f,\n"
-                "  \"shards1_overhead\": %.4f,\n  \"shardsN_s\": %.6f,\n",
-                ShardBaseS, Shard1S, Overhead1, ShardNSumS);
-  SJson += Buf0;
-  SJson += "  \"parity\": \"outputs byte-identical to runFast for every "
-           "shard count (ctest -L shard)\",\n";
-  SJson += "  \"workloads\": [\n" + ShardDetail + "\n  ]\n}\n";
-  if (!writeOutput("BENCH_shard.json", SJson, "bench.write")) {
-    std::fprintf(stderr, "bench: cannot write BENCH_shard.json\n");
-    return 1;
-  }
-  std::fprintf(stderr, "wrote BENCH_shard.json\n");
   return StageError.empty() ? 0 : 1;
 }
 
@@ -1098,7 +1050,8 @@ int cmdCheckpointSave(const CommonArgs &A) {
   PipelineCheckpoint C;
   auto Bc = makeEngine(A, *P.Bin);
   RunResult R =
-      detail::segmentWithEngine(Interp, Bc.get(), Mux, nullptr, At, &C.Interp);
+      Bc ? Interp.runBytecodeSegment(*Bc, Mux, nullptr, At, &C.Interp)
+         : Interp.runFastSegment(Mux, nullptr, At, &C.Interp);
   // Run framing: a run that completed before the boundary gets its normal
   // end (pop-all + final cut) before states are captured, so resuming the
   // checkpoint is a no-op rather than a duplicate final interval.
@@ -1187,8 +1140,9 @@ int cmdCheckpointResume(const CommonArgs &A) {
     // Checkpoints address source structure, not engine state, so the
     // resuming tier is free to differ from the saving tier.
     auto Bc = makeEngine(A, *P.Bin);
-    R = detail::segmentWithEngine(Interp, Bc.get(), Mux, &C->Interp,
-                                  std::numeric_limits<uint64_t>::max());
+    constexpr uint64_t End = std::numeric_limits<uint64_t>::max();
+    R = Bc ? Interp.runBytecodeSegment(*Bc, Mux, &C->Interp, End)
+           : Interp.runFastSegment(Mux, &C->Interp, End);
     Mux.onRunEnd(R.TotalInstrs);
   }
   std::vector<IntervalRecord> Iv = P.Ivb.takeIntervals();
