@@ -9,12 +9,13 @@
 /// Adaptive data-cache reconfiguration, exactly the Sec. 6.1 experiment:
 /// the cache (512 sets x 64B, 1-8 ways = 32KB-256KB) reconfigures at phase
 /// boundaries. Per phase id, the first two intervals are spent exploring —
-/// all eight configurations are simulated in parallel — after which the
-/// smallest configuration whose miss count matches the best (no allowed
-/// increase in miss rate) is locked in and applied whenever that phase
-/// marker is seen again. Exploration intervals are accounted at the largest
-/// size (the hardware must run somewhere safe while measuring). The figure
-/// of merit is the execution-weighted average cache size.
+/// all eight configurations are measured at once by MultiCacheProbe's
+/// recency stack — after which the smallest configuration whose miss count
+/// matches the best (no allowed increase in miss rate) is locked in and
+/// applied whenever that phase marker is seen again. Exploration intervals
+/// are accounted at the largest size (the hardware must run somewhere safe
+/// while measuring). The figure of merit is the execution-weighted average
+/// cache size.
 ///
 /// The same engine serves every policy of Fig. 10: boundaries can come from
 /// our software phase markers (self- or cross-trained, procedures-only or

@@ -39,11 +39,8 @@ runAdaptiveWithMarkers(const Binary &B, const LoopIndex &Loops,
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Tracker);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<CallLoopTracker, AdaptiveCacheEngine> Mux(Tracker, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -58,11 +55,8 @@ runAdaptiveWithReuseMarkers(const Binary &B, const ReuseMarkerSet &M,
   Runtime.setCallback(
       [&](int32_t Idx) { Engine.onPhaseBoundary(Idx); });
 
-  ObserverMux Mux;
-  Mux.add(&Runtime);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<ReuseMarkerRuntime, AdaptiveCacheEngine> Mux(Runtime, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -116,11 +110,8 @@ runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
   // Pass 2: replay deterministically, steering by the oracle phase ids.
   AdaptiveCacheEngine Engine;
   OracleBoundaryDriver Driver(Engine, FixedLen, SP.Assign);
-  ObserverMux Mux;
-  Mux.add(&Driver);
-  Mux.add(&Engine);
-  Interpreter Interp(B, In);
-  Interp.run(Mux);
+  StaticMux<OracleBoundaryDriver, AdaptiveCacheEngine> Mux(Driver, Engine);
+  Interpreter(B, In).runFast(Mux);
   return Engine.result();
 }
 
@@ -137,23 +128,19 @@ inline FixedSizeResult
 bestFixedSize(const Binary &B, const WorkloadInput &In,
               double HitTolAbs = 0.0005,
               std::vector<CacheConfig> Sweep = CacheConfig::reconfigSweep()) {
-  class ProbeObserver : public ExecutionObserver {
-  public:
-    explicit ProbeObserver(std::vector<CacheConfig> Sweep)
-        : Probe(std::move(Sweep)) {}
-    void onMemAccess(uint64_t Addr, bool IsStore) override {
+  struct ProbeSink {
+    void onMemAccess(uint64_t Addr, bool IsStore) {
       (void)IsStore;
       Probe.access(Addr);
     }
     MultiCacheProbe Probe;
   };
 
-  ProbeObserver Obs(Sweep);
-  Interpreter Interp(B, In);
-  Interp.run(Obs);
+  ProbeSink Sink{MultiCacheProbe(Sweep)};
+  Interpreter(B, In).runFast(Sink);
 
   FixedSizeResult R;
-  R.PerConfig = Obs.Probe.statsSnapshot();
+  R.PerConfig = Sink.Probe.statsSnapshot();
   double MaxHit = 0.0;
   for (const CacheStats &S : R.PerConfig)
     MaxHit = std::max(MaxHit, S.hitRate());
@@ -173,8 +160,7 @@ inline ReuseMarkerSet
 profileReuseMarkers(const Binary &B, const WorkloadInput &In,
                     const ReuseMarkerConfig &Config = ReuseMarkerConfig()) {
   ReuseSignalCollector Collector(Config.WindowInstrs);
-  Interpreter Interp(B, In);
-  Interp.run(Collector);
+  Interpreter(B, In).runFast(Collector);
   ReuseProfile P = Collector.takeProfile();
   return selectReuseMarkers(P, Config);
 }

@@ -10,10 +10,24 @@
 /// experiment of Sec. 6.1. That experiment fixes 64-byte blocks and 512
 /// sets and reconfigures associativity from 1 to 8 ways (32KB to 256KB);
 /// CacheConfig::reconfigSweep() enumerates exactly those configurations.
-/// Replacement is true LRU. MultiCacheProbe simulates every configuration
-/// of the sweep simultaneously on one address stream, which is how both the
-/// exploration intervals of the adaptive scheme and the oracle policies
-/// learn per-interval miss rates for all sizes.
+/// Replacement is true LRU.
+///
+/// MultiCacheProbe measures every configuration of such a sweep on one
+/// address stream, which is how both the exploration intervals of the
+/// adaptive scheme and the oracle policies learn per-interval miss rates
+/// for all sizes. It does not simulate eight caches: LRU has the inclusion
+/// property (Mattson et al., 1970), so with the set count and block size
+/// fixed, an A-way set holds exactly the A most recently used distinct
+/// blocks of that set. One recency stack per set, as deep as the largest
+/// associativity, therefore answers every size at once: an access that
+/// finds its block at stack depth d hits in every configuration with more
+/// than d ways and misses in the rest.
+///
+/// The cache the adaptive scheme actually *serves* from is a CacheModel,
+/// not a stack: its reconfiguration (setAssocPreserving) disables ways and
+/// later re-enables them empty, so after growing it holds fewer blocks
+/// than the stack prefix of the same depth, and the prefix property no
+/// longer describes its contents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +35,12 @@
 #define SPM_UARCH_CACHE_H
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace spm {
@@ -47,6 +64,26 @@ struct CacheConfig {
     return Sweep;
   }
 };
+
+namespace cache_detail {
+
+/// Throws std::invalid_argument naming the first bad field of \p Cfg: a
+/// zero field, or a set count or block size that is not a power of two
+/// (set and block indices are taken by masking address bits).
+inline void validate(const CacheConfig &Cfg) {
+  auto Fail = [](const char *Field, uint32_t Value, const char *Why) {
+    throw std::invalid_argument(std::string("cache ") + Field + " = " +
+                                std::to_string(Value) + ": " + Why);
+  };
+  if (!std::has_single_bit(Cfg.Sets))
+    Fail("Sets", Cfg.Sets, "must be a power of two");
+  if (Cfg.Assoc == 0)
+    Fail("Assoc", Cfg.Assoc, "must be positive");
+  if (!std::has_single_bit(Cfg.BlockBytes))
+    Fail("BlockBytes", Cfg.BlockBytes, "must be a power of two");
+}
+
+} // namespace cache_detail
 
 /// Hit/miss counters of one cache (or one probed configuration).
 struct CacheStats {
@@ -84,15 +121,13 @@ class CacheModel {
 public:
   explicit CacheModel(CacheConfig Cfg = CacheConfig()) { configure(Cfg); }
 
-  /// Re-shapes the cache and invalidates all contents.
+  /// Re-shapes the cache and invalidates all contents. Throws
+  /// std::invalid_argument on a bad geometry (see cache_detail::validate).
   void configure(CacheConfig NewCfg) {
-    assert(NewCfg.Sets > 0 && NewCfg.Assoc > 0 && NewCfg.BlockBytes > 0 &&
-           "degenerate cache configuration");
-    assert((NewCfg.Sets & (NewCfg.Sets - 1)) == 0 &&
-           "set count must be a power of two");
-    assert((NewCfg.BlockBytes & (NewCfg.BlockBytes - 1)) == 0 &&
-           "block size must be a power of two");
+    cache_detail::validate(NewCfg);
     Cfg = NewCfg;
+    SetBits = std::countr_zero(Cfg.Sets);
+    BlockBits = std::countr_zero(Cfg.BlockBytes);
     Tags.assign(static_cast<size_t>(Cfg.Sets) * Cfg.Assoc, ~0ull);
     Stamps.assign(Tags.size(), 0);
     Clock = 0;
@@ -110,41 +145,64 @@ public:
   /// experiment models): shrinking disables ways but keeps the most
   /// recently used blocks of each set; growing re-enables ways with their
   /// (invalidated) frames. No whole-cache flush.
+  /// Throws std::invalid_argument when \p NewAssoc is zero.
   void setAssocPreserving(uint32_t NewAssoc) {
-    assert(NewAssoc > 0 && "degenerate associativity");
+    if (NewAssoc == 0)
+      throw std::invalid_argument("cache Assoc = 0: must be positive");
     if (NewAssoc == Cfg.Assoc)
       return;
-    uint32_t OldAssoc = Cfg.Assoc;
-    std::vector<uint64_t> NewTags(static_cast<size_t>(Cfg.Sets) * NewAssoc,
-                                  ~0ull);
-    std::vector<uint64_t> NewStamps(NewTags.size(), 0);
-    uint32_t Keep = NewAssoc < OldAssoc ? NewAssoc : OldAssoc;
-    for (uint32_t Set = 0; Set < Cfg.Sets; ++Set) {
-      uint64_t *OldT = &Tags[static_cast<size_t>(Set) * OldAssoc];
-      uint64_t *OldS = &Stamps[static_cast<size_t>(Set) * OldAssoc];
-      // Select the Keep most recently used ways of this set.
-      std::vector<uint32_t> Order(OldAssoc);
-      for (uint32_t W = 0; W < OldAssoc; ++W)
-        Order[W] = W;
-      std::sort(Order.begin(), Order.end(),
-                [&](uint32_t A, uint32_t B) { return OldS[A] > OldS[B]; });
-      for (uint32_t W = 0; W < Keep; ++W) {
-        NewTags[static_cast<size_t>(Set) * NewAssoc + W] = OldT[Order[W]];
-        NewStamps[static_cast<size_t>(Set) * NewAssoc + W] = OldS[Order[W]];
-      }
+    const uint32_t OldAssoc = Cfg.Assoc;
+    const uint32_t Keep = std::min(NewAssoc, OldAssoc);
+    const size_t NewSize = static_cast<size_t>(Cfg.Sets) * NewAssoc;
+    if (NewAssoc > OldAssoc) {
+      Tags.resize(NewSize, ~0ull);
+      Stamps.resize(NewSize, 0);
     }
+    // Re-lays set Set from OldAssoc to NewAssoc ways in place: its Keep
+    // most recently used ways first, in recency order, then invalid ways.
+    // Valid ways carry distinct stamps, so the order is exact; ties occur
+    // only between identical invalid ways.
+    auto Relayout = [&](uint32_t Set) {
+      uint64_t *T = &Tags[static_cast<size_t>(Set) * OldAssoc];
+      uint64_t *S = &Stamps[static_cast<size_t>(Set) * OldAssoc];
+      for (uint32_t I = 1; I < OldAssoc; ++I) { // Insertion sort, newest first.
+        uint64_t Tag = T[I], Stamp = S[I];
+        uint32_t J = I;
+        for (; J > 0 && S[J - 1] < Stamp; --J) {
+          T[J] = T[J - 1];
+          S[J] = S[J - 1];
+        }
+        T[J] = Tag;
+        S[J] = Stamp;
+      }
+      size_t Dst = static_cast<size_t>(Set) * NewAssoc;
+      std::memmove(&Tags[Dst], T, Keep * sizeof(uint64_t));
+      std::memmove(&Stamps[Dst], S, Keep * sizeof(uint64_t));
+      std::fill(Tags.begin() + Dst + Keep, Tags.begin() + Dst + NewAssoc,
+                ~0ull);
+      std::fill(Stamps.begin() + Dst + Keep, Stamps.begin() + Dst + NewAssoc,
+                0);
+    };
+    // Shrinking moves every set toward the front, growing toward the
+    // back; walking in that direction never overwrites a set not yet moved.
+    if (NewAssoc < OldAssoc)
+      for (uint32_t Set = 0; Set < Cfg.Sets; ++Set)
+        Relayout(Set);
+    else
+      for (uint32_t Set = Cfg.Sets; Set-- > 0;)
+        Relayout(Set);
+    Tags.resize(NewSize);
+    Stamps.resize(NewSize);
     Cfg.Assoc = NewAssoc;
-    Tags = std::move(NewTags);
-    Stamps = std::move(NewStamps);
   }
 
   /// Simulates one access; returns true on hit. Stores allocate like loads
   /// (write-allocate), matching the simple Cheetah-style model.
   bool access(uint64_t Addr) {
     ++Stats.Accesses;
-    uint64_t Block = Addr / Cfg.BlockBytes;
+    uint64_t Block = Addr >> BlockBits;
     uint32_t Set = static_cast<uint32_t>(Block & (Cfg.Sets - 1));
-    uint64_t Tag = Block >> setBits();
+    uint64_t Tag = Block >> SetBits;
     uint64_t *SetTags = &Tags[static_cast<size_t>(Set) * Cfg.Assoc];
     uint64_t *SetStamps = &Stamps[static_cast<size_t>(Set) * Cfg.Assoc];
     ++Clock;
@@ -187,49 +245,92 @@ public:
   }
 
 private:
-  uint32_t setBits() const {
-    uint32_t Bits = 0;
-    for (uint32_t S = Cfg.Sets; S > 1; S >>= 1)
-      ++Bits;
-    return Bits;
-  }
-
   CacheConfig Cfg;
+  uint32_t SetBits = 0;   ///< log2(Cfg.Sets), fixed by configure().
+  uint32_t BlockBits = 0; ///< log2(Cfg.BlockBytes), fixed by configure().
   CacheStats Stats;
   std::vector<uint64_t> Tags;
   std::vector<uint64_t> Stamps;
   uint64_t Clock = 0;
 };
 
-/// Simulates a whole configuration sweep in parallel on one address stream.
+/// Measures a whole configuration sweep on one address stream with one
+/// LRU recency stack per set (see the file comment for why that is exact).
+/// All configurations must share Sets and BlockBytes; Assoc may come in
+/// any order and may repeat. The stack is as deep as the largest Assoc;
+/// Hist[d] counts hits found at depth d, so a configuration with A ways
+/// missed Accesses - (Hist[0] + ... + Hist[A-1]) times.
 class MultiCacheProbe {
 public:
-  explicit MultiCacheProbe(std::vector<CacheConfig> Sweep) {
-    assert(!Sweep.empty() && "empty cache sweep");
-    for (const CacheConfig &C : Sweep)
-      Caches.emplace_back(C);
+  /// Throws std::invalid_argument on an empty sweep, a bad geometry, or
+  /// configurations that differ in Sets or BlockBytes.
+  explicit MultiCacheProbe(std::vector<CacheConfig> SweepIn)
+      : Sweep(std::move(SweepIn)) {
+    if (Sweep.empty())
+      throw std::invalid_argument("cache sweep is empty");
+    for (const CacheConfig &C : Sweep) {
+      cache_detail::validate(C);
+      if (C.Sets != Sweep[0].Sets)
+        throw std::invalid_argument(
+            "cache sweep Sets differ: " + std::to_string(C.Sets) + " vs " +
+            std::to_string(Sweep[0].Sets));
+      if (C.BlockBytes != Sweep[0].BlockBytes)
+        throw std::invalid_argument(
+            "cache sweep BlockBytes differ: " + std::to_string(C.BlockBytes) +
+            " vs " + std::to_string(Sweep[0].BlockBytes));
+      Depth = std::max(Depth, C.Assoc);
+    }
+    SetMask = Sweep[0].Sets - 1;
+    SetBits = std::countr_zero(Sweep[0].Sets);
+    BlockBits = std::countr_zero(Sweep[0].BlockBytes);
+    Stack.assign(static_cast<size_t>(Sweep[0].Sets) * Depth, ~0ull);
+    Hist.assign(Depth, 0);
   }
 
   void access(uint64_t Addr) {
-    for (CacheModel &C : Caches)
-      C.access(Addr);
+    ++Accesses;
+    uint64_t Block = Addr >> BlockBits;
+    uint64_t Tag = Block >> SetBits;
+    uint64_t *S = &Stack[static_cast<size_t>(Block & SetMask) * Depth];
+    uint32_t D = 0;
+    while (D < Depth && S[D] != Tag)
+      ++D;
+    if (D < Depth)
+      ++Hist[D];
+    else
+      D = Depth - 1; // Miss everywhere: the bottom entry falls off.
+    std::memmove(S + 1, S, D * sizeof(uint64_t));
+    S[0] = Tag;
   }
 
-  size_t size() const { return Caches.size(); }
-  const CacheModel &cache(size_t I) const { return Caches[I]; }
-  CacheModel &cache(size_t I) { return Caches[I]; }
+  size_t size() const { return Sweep.size(); }
+
+  /// Whole-stream counters of configuration \p I of the sweep.
+  CacheStats stats(size_t I) const {
+    uint64_t Hits = 0;
+    for (uint32_t D = 0; D < Sweep[I].Assoc; ++D)
+      Hits += Hist[D];
+    return {Accesses, Accesses - Hits};
+  }
 
   /// Snapshot of all per-configuration stats.
   std::vector<CacheStats> statsSnapshot() const {
     std::vector<CacheStats> Out;
-    Out.reserve(Caches.size());
-    for (const CacheModel &C : Caches)
-      Out.push_back(C.stats());
+    Out.reserve(Sweep.size());
+    for (size_t I = 0; I < Sweep.size(); ++I)
+      Out.push_back(stats(I));
     return Out;
   }
 
 private:
-  std::vector<CacheModel> Caches;
+  std::vector<CacheConfig> Sweep;
+  uint32_t Depth = 0;
+  uint64_t SetMask = 0;
+  uint32_t SetBits = 0;
+  uint32_t BlockBits = 0;
+  std::vector<uint64_t> Stack; ///< Sets x Depth tags, most recent first.
+  std::vector<uint64_t> Hist;  ///< Hits by stack depth.
+  uint64_t Accesses = 0;
 };
 
 } // namespace spm

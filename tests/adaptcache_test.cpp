@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace spm;
 
 namespace {
@@ -136,4 +138,72 @@ TEST(AdaptiveCache, CrossTrainMarkersWorkToo) {
       runAdaptiveWithMarkers(*P.Bin, P.Loops, *P.Graph, P.Markers, P.W.Ref);
   EXPECT_GT(Cross.Intervals, 20u);
   EXPECT_LT(Cross.AvgCacheKB, 256.0);
+}
+
+namespace {
+
+uint64_t bitsOf(double D) {
+  uint64_t U;
+  std::memcpy(&U, &D, sizeof U);
+  return U;
+}
+
+/// Exact expected outcome of one policy: the doubles as bit patterns.
+struct PinnedResult {
+  uint64_t AvgCacheKBBits;
+  uint64_t MissRateBits;
+  uint64_t Intervals;
+  uint64_t Explorations;
+};
+
+void expectPinned(const AdaptiveCacheResult &R, const PinnedResult &P,
+                  const char *Policy) {
+  EXPECT_EQ(bitsOf(R.AvgCacheKB), P.AvgCacheKBBits)
+      << Policy << ": AvgCacheKB " << R.AvgCacheKB;
+  EXPECT_EQ(bitsOf(R.MissRate), P.MissRateBits)
+      << Policy << ": MissRate " << R.MissRate;
+  EXPECT_EQ(R.Intervals, P.Intervals) << Policy;
+  EXPECT_EQ(R.Explorations, P.Explorations) << Policy;
+}
+
+} // namespace
+
+TEST(AdaptiveCache, PinnedResultsOnMesh) {
+  // Bit-exact Fig. 10 outcomes for one reconfig-suite program, recorded
+  // with one independent CacheModel per probed configuration and with
+  // virtual run() + ObserverMux event delivery. Any change to the probe,
+  // the serving cache, the engine or the event order that moves a single
+  // miss shows here.
+  Prepared P("mesh");
+  auto GRef = buildCallLoopGraph(*P.Bin, P.Loops, P.W.Ref);
+  SelectorConfig C;
+  C.ILower = 10000;
+  MarkerSet Self = selectMarkers(*GRef, C).Markers;
+  ReuseMarkerSet RM = profileReuseMarkers(*P.Bin, P.W.Train);
+  ASSERT_EQ(Self.size(), 10u);
+  ASSERT_EQ(P.Markers.size(), 7u);
+  ASSERT_EQ(RM.size(), 2u);
+
+  expectPinned(runAdaptiveWithMarkers(*P.Bin, P.Loops, *GRef, Self, P.W.Ref),
+               {0x40696ada0dae30fbull, 0x3f7901f6989751caull, 100, 4},
+               "SPM-Self");
+  expectPinned(
+      runAdaptiveWithMarkers(*P.Bin, P.Loops, *P.Graph, P.Markers, P.W.Ref),
+      {0x406851f2355b9e8dull, 0x3f7a1a374a311430ull, 50, 2}, "SPM-Cross");
+  expectPinned(runAdaptiveWithReuseMarkers(*P.Bin, RM, P.W.Ref),
+               {0x40696ae608600a77ull, 0x3f7901f6989751caull, 100, 4},
+               "ReuseDist");
+  expectPinned(runAdaptiveWithOracleBbv(*P.Bin, P.W.Ref, /*FixedLen=*/10000),
+               {0x4063a7f9bbc676fbull, 0x3fd595c94a8388bfull, 210, 12},
+               "BBV oracle");
+
+  FixedSizeResult F = bestFixedSize(*P.Bin, P.W.Ref);
+  const uint64_t Misses[8] = {394621, 337322, 287951, 259564,
+                              205357, 3521,   3073,   3073};
+  ASSERT_EQ(F.PerConfig.size(), 8u);
+  for (size_t I = 0; I < 8; ++I) {
+    EXPECT_EQ(F.PerConfig[I].Accesses, 550006u) << "config " << I;
+    EXPECT_EQ(F.PerConfig[I].Misses, Misses[I]) << "config " << I;
+  }
+  EXPECT_EQ(F.BestIdx, 6u);
 }

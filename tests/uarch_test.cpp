@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+
 using namespace spm;
 
 //===----------------------------------------------------------------------===//
@@ -53,8 +58,7 @@ TEST(Cache, HigherAssocNeverMoreMissesOnSameStream) {
   for (int I = 0; I < 200000; ++I)
     Probe.access((R.nextBelow(3000) * 64) + (1ull << 32));
   for (size_t I = 1; I < Probe.size(); ++I)
-    EXPECT_LE(Probe.cache(I).stats().Misses,
-              Probe.cache(I - 1).stats().Misses)
+    EXPECT_LE(Probe.stats(I).Misses, Probe.stats(I - 1).Misses)
         << "assoc " << Sweep[I].Assoc;
 }
 
@@ -83,6 +87,253 @@ TEST(Cache, WorkingSetFitsMeansNoCapacityMisses) {
     for (uint64_t A = 0; A < 32 * 1024; A += 64)
       C.access(A);
   EXPECT_EQ(C.stats().Misses, 512u); // Only the cold pass.
+}
+
+TEST(Cache, PreservingReshapeKeepsMostRecentWaysInOrder) {
+  // Reference for setAssocPreserving: per set, sort the old ways newest
+  // first, keep min(old, new) of them, pad with invalid ways; an unchanged
+  // way count leaves the tables alone. Checked on the full tag/stamp
+  // tables after every reshape of a random sequence.
+  CacheModel C({16, 4, 64});
+  Rng R(23);
+  for (int Step = 0; Step < 60; ++Step) {
+    for (int I = 0; I < 300; ++I)
+      C.access(R.nextBelow(200) * 64);
+    CacheModelState Before = C.saveState();
+    uint32_t Old = C.config().Assoc;
+    uint32_t New = 1 + static_cast<uint32_t>(R.nextBelow(8));
+    std::vector<uint64_t> Tags(16 * New, ~0ull), Stamps(16 * New, 0);
+    if (New == Old) {
+      Tags = Before.Tags;
+      Stamps = Before.Stamps;
+    }
+    for (uint32_t Set = 0; Set < 16 && New != Old; ++Set) {
+      std::vector<uint32_t> Order(Old);
+      std::iota(Order.begin(), Order.end(), 0u);
+      std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+        return Before.Stamps[Set * Old + A] > Before.Stamps[Set * Old + B];
+      });
+      for (uint32_t W = 0; W < std::min(Old, New); ++W) {
+        Tags[Set * New + W] = Before.Tags[Set * Old + Order[W]];
+        Stamps[Set * New + W] = Before.Stamps[Set * Old + Order[W]];
+      }
+    }
+    C.setAssocPreserving(New);
+    CacheModelState After = C.saveState();
+    ASSERT_EQ(After.Tags, Tags) << "step " << Step << ": " << Old << " -> "
+                                << New;
+    ASSERT_EQ(After.Stamps, Stamps) << "step " << Step;
+    EXPECT_EQ(After.Clock, Before.Clock);
+    EXPECT_EQ(After.Stats.Misses, Before.Stats.Misses);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// MultiCacheProbe: exact against one independent CacheModel per config
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Feeds \p Addrs to a MultiCacheProbe and to one CacheModel per
+/// configuration (the reference), comparing every configuration's counters
+/// after each of the first 64 accesses, every 1009th, and the last.
+void expectProbeExact(const std::vector<CacheConfig> &Sweep,
+                      const std::vector<uint64_t> &Addrs, const char *Stream) {
+  MultiCacheProbe Probe(Sweep);
+  std::vector<CacheModel> Ref(Sweep.begin(), Sweep.end());
+  ASSERT_EQ(Probe.size(), Sweep.size());
+  size_t Compared = 0;
+  for (size_t N = 1; N <= Addrs.size(); ++N) {
+    Probe.access(Addrs[N - 1]);
+    for (CacheModel &C : Ref)
+      C.access(Addrs[N - 1]);
+    if (N > 64 && N % 1009 != 0 && N != Addrs.size())
+      continue;
+    ++Compared;
+    std::vector<CacheStats> Snap = Probe.statsSnapshot();
+    for (size_t I = 0; I < Sweep.size(); ++I) {
+      ASSERT_EQ(Snap[I].Accesses, Ref[I].stats().Accesses)
+          << Stream << ", prefix " << N << ", config " << I;
+      ASSERT_EQ(Snap[I].Misses, Ref[I].stats().Misses)
+          << Stream << ", prefix " << N << ", config " << I << " ("
+          << Sweep[I].Sets << " sets, " << Sweep[I].Assoc << " ways)";
+      ASSERT_EQ(Probe.stats(I).Misses, Snap[I].Misses);
+    }
+  }
+  EXPECT_GT(Compared, 64u) << Stream;
+}
+
+std::vector<uint64_t> uniformStream(uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<uint64_t> A(60000);
+  for (uint64_t &X : A)
+    X = (1ull << 32) + R.nextBelow(1 << 21); // 2MB, byte-granular.
+  return A;
+}
+
+/// Cycles 11 blocks that all map to set 0, interleaved with a random
+/// sprinkle elsewhere: more tags per set than the deepest configuration.
+std::vector<uint64_t> stridedStream(const CacheConfig &G) {
+  Rng R(5);
+  uint64_t Stride = static_cast<uint64_t>(G.Sets) * G.BlockBytes;
+  std::vector<uint64_t> A;
+  for (int Rep = 0; Rep < 3000; ++Rep) {
+    A.push_back((Rep % 11) * Stride);
+    if (Rep % 3 == 0)
+      A.push_back((Rep % 5) * Stride);
+    if (Rep % 7 == 0)
+      A.push_back(R.nextBelow(64 * Stride));
+  }
+  return A;
+}
+
+/// Three passes of a 384KB sequential sweep at 8-byte steps: larger than
+/// the biggest (256KB) configuration, so LRU thrashes every size.
+std::vector<uint64_t> sequentialStream() {
+  std::vector<uint64_t> A;
+  for (int Pass = 0; Pass < 3; ++Pass)
+    for (uint64_t X = 0; X < 384 * 1024; X += 8)
+      A.push_back((1ull << 30) + X);
+  return A;
+}
+
+/// The data addresses of a reconfig-suite program's ref run.
+const std::vector<uint64_t> &recordedStream() {
+  static const std::vector<uint64_t> Addrs = [] {
+    struct Recorder {
+      void onMemAccess(uint64_t Addr, bool IsStore) {
+        (void)IsStore;
+        Out.push_back(Addr);
+      }
+      std::vector<uint64_t> Out;
+    };
+    Workload W = WorkloadRegistry::create("mesh");
+    auto B = lower(*W.Program, LoweringOptions::O2());
+    Recorder Rec;
+    Interpreter(*B, W.Ref).runFast(Rec);
+    return std::move(Rec.Out);
+  }();
+  return Addrs;
+}
+
+void expectProbeExactOnAllStreams(const std::vector<CacheConfig> &Sweep) {
+  expectProbeExact(Sweep, uniformStream(17), "uniform");
+  expectProbeExact(Sweep, stridedStream(Sweep[0]), "strided");
+  expectProbeExact(Sweep, sequentialStream(), "sequential");
+  ASSERT_GT(recordedStream().size(), 100000u);
+  expectProbeExact(Sweep, recordedStream(), "mesh ref");
+}
+
+std::vector<CacheConfig> waysSweep(uint32_t Sets, uint32_t BlockBytes) {
+  std::vector<CacheConfig> Sweep;
+  for (uint32_t A = 1; A <= 8; ++A)
+    Sweep.push_back({Sets, A, BlockBytes});
+  return Sweep;
+}
+
+} // namespace
+
+TEST(MultiCacheProbe, ExactOnReconfigSweep) {
+  expectProbeExactOnAllStreams(CacheConfig::reconfigSweep());
+}
+
+TEST(MultiCacheProbe, ExactOnOutOfOrderSubset) {
+  expectProbeExactOnAllStreams({{512, 4, 64}, {512, 1, 64}, {512, 8, 64}});
+}
+
+TEST(MultiCacheProbe, ExactOnOneSet) {
+  expectProbeExactOnAllStreams(waysSweep(1, 64));
+}
+
+TEST(MultiCacheProbe, ExactOnSixteenSets) {
+  expectProbeExactOnAllStreams(waysSweep(16, 32));
+}
+
+//===----------------------------------------------------------------------===//
+// Cache geometry validation (kept in every build type, not an assert)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The std::invalid_argument message \p Fn throws, or "" if it returns.
+template <class F> std::string invalidArgument(F &&Fn) {
+  try {
+    Fn();
+  } catch (const std::invalid_argument &E) {
+    return E.what();
+  }
+  return "";
+}
+
+bool names(const std::string &Msg, const char *Field) {
+  return Msg.find(Field) != std::string::npos;
+}
+
+} // namespace
+
+TEST(CacheGeometry, ZeroSetsRejected) {
+  std::string M = invalidArgument([] { CacheModel C({0, 2, 64}); });
+  EXPECT_TRUE(names(M, "Sets")) << M;
+}
+
+TEST(CacheGeometry, ZeroAssocRejected) {
+  std::string M = invalidArgument([] { CacheModel C({16, 0, 64}); });
+  EXPECT_TRUE(names(M, "Assoc")) << M;
+}
+
+TEST(CacheGeometry, ZeroBlockBytesRejected) {
+  std::string M = invalidArgument([] { CacheModel C({16, 2, 0}); });
+  EXPECT_TRUE(names(M, "BlockBytes")) << M;
+}
+
+TEST(CacheGeometry, NonPowerOfTwoSetsRejected) {
+  // 3 sets would only ever map to sets 0 and 2.
+  std::string M = invalidArgument([] { CacheModel C({3, 2, 64}); });
+  EXPECT_TRUE(names(M, "Sets")) << M;
+}
+
+TEST(CacheGeometry, NonPowerOfTwoBlockBytesRejected) {
+  std::string M = invalidArgument([] { CacheModel C({16, 2, 48}); });
+  EXPECT_TRUE(names(M, "BlockBytes")) << M;
+}
+
+TEST(CacheGeometry, ConfigureRejectsAndKeepsOldShape) {
+  CacheModel C({16, 2, 64});
+  std::string M = invalidArgument([&] { C.configure({12, 2, 64}); });
+  EXPECT_TRUE(names(M, "Sets")) << M;
+  EXPECT_EQ(C.config().Sets, 16u);
+  EXPECT_FALSE(C.access(0x40));
+  EXPECT_TRUE(C.access(0x40));
+}
+
+TEST(CacheGeometry, SetAssocPreservingRejectsZeroWays) {
+  CacheModel C({16, 2, 64});
+  std::string M = invalidArgument([&] { C.setAssocPreserving(0); });
+  EXPECT_TRUE(names(M, "Assoc")) << M;
+  EXPECT_EQ(C.config().Assoc, 2u);
+}
+
+TEST(CacheGeometry, ProbeRejectsEmptySweep) {
+  std::string M = invalidArgument([] { MultiCacheProbe P({}); });
+  EXPECT_TRUE(names(M, "empty")) << M;
+}
+
+TEST(CacheGeometry, ProbeRejectsBadEntry) {
+  std::string M = invalidArgument(
+      [] { MultiCacheProbe P({{512, 1, 64}, {512, 0, 64}}); });
+  EXPECT_TRUE(names(M, "Assoc")) << M;
+}
+
+TEST(CacheGeometry, ProbeRejectsMixedSets) {
+  std::string M = invalidArgument(
+      [] { MultiCacheProbe P({{512, 1, 64}, {256, 2, 64}}); });
+  EXPECT_TRUE(names(M, "Sets")) << M;
+}
+
+TEST(CacheGeometry, ProbeRejectsMixedBlockBytes) {
+  std::string M = invalidArgument(
+      [] { MultiCacheProbe P({{512, 1, 64}, {512, 2, 32}}); });
+  EXPECT_TRUE(names(M, "BlockBytes")) << M;
 }
 
 //===----------------------------------------------------------------------===//
