@@ -17,6 +17,11 @@
 /// while measuring). The figure of merit is the execution-weighted average
 /// cache size.
 ///
+/// One cache simulation per access does both jobs: the way-masked cache
+/// the policy serves from is a variable-length prefix of the probe's
+/// recency stacks (uarch/Cache.h), so its hits and misses come from the
+/// same stack walk that feeds the exploration statistics.
+///
 /// The same engine serves every policy of Fig. 10: boundaries can come from
 /// our software phase markers (self- or cross-trained, procedures-only or
 /// not), from Shen-style reuse markers, or from oracle SimPoint phase ids
@@ -31,6 +36,8 @@
 #include "vm/Observer.h"
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -48,16 +55,21 @@ struct AdaptiveCacheResult {
 /// phase-boundary events from whichever marker scheme is under test.
 class AdaptiveCacheEngine : public ExecutionObserver {
 public:
-  /// \p Tolerance: a configuration is "as good as the best" when its miss
-  /// count is within this relative slack (plus a tiny absolute allowance
-  /// for degenerate counts). The paper's rule is "no allowed increase in
-  /// cache miss rate"; at our 1000x-reduced interval lengths the two
-  /// exploration intervals carry sampling noise a strict rule would
-  /// misread, so a 5%-of-misses slack stands in for "no increase".
+  /// \p SweepIn lists the configurations smallest first: Assoc must be
+  /// strictly increasing (exploration runs at the last entry, and locking
+  /// in picks the first adequate one). \p Tolerance: a configuration is
+  /// "as good as the best" when its miss count is within this relative
+  /// slack (plus a tiny absolute allowance for degenerate counts). The
+  /// paper's rule is "no allowed increase in cache miss rate"; at our
+  /// 1000x-reduced interval lengths the two exploration intervals carry
+  /// sampling noise a strict rule would misread, so a 5%-of-misses slack
+  /// stands in for "no increase".
+  /// Throws std::invalid_argument on an empty sweep, Assoc values that do
+  /// not strictly increase, or a geometry MultiCacheProbe rejects.
   explicit AdaptiveCacheEngine(
-      std::vector<CacheConfig> Sweep = CacheConfig::reconfigSweep(),
+      std::vector<CacheConfig> SweepIn = CacheConfig::reconfigSweep(),
       double Tolerance = 0.05, uint32_t ExploreIntervals = 2)
-      : Sweep(Sweep), Probe(Sweep), Serving(Sweep.back()),
+      : Sweep(checkAscending(std::move(SweepIn))), Probe(Sweep),
         Tolerance(Tolerance), ExploreIntervals(ExploreIntervals) {
     CurConfigIdx = Sweep.size() - 1; // Start at the largest (safe) size.
     ProbeStart = Probe.statsSnapshot();
@@ -90,9 +102,8 @@ public:
 
   void onMemAccess(uint64_t Addr, bool IsStore) override {
     (void)IsStore;
-    Probe.access(Addr);
     ++ServedAccesses;
-    if (!Serving.access(Addr))
+    if (!Probe.access(Addr))
       ++ServedMisses;
   }
 
@@ -127,17 +138,27 @@ private:
     std::vector<CacheStats> Aggregate; ///< Per config, explored intervals.
   };
 
+  static std::vector<CacheConfig> checkAscending(std::vector<CacheConfig> S) {
+    if (S.empty())
+      throw std::invalid_argument("adaptive cache sweep is empty");
+    for (size_t I = 1; I < S.size(); ++I)
+      if (S[I].Assoc <= S[I - 1].Assoc)
+        throw std::invalid_argument(
+            "adaptive cache sweep entry " + std::to_string(I) + " (Assoc = " +
+            std::to_string(S[I].Assoc) + ") must have more ways than entry " +
+            std::to_string(I - 1) + " (Assoc = " +
+            std::to_string(S[I - 1].Assoc) +
+            "): Assoc must strictly increase");
+    return S;
+  }
+
   void applyConfigFor(int32_t PhaseId) {
     PhaseState &PS = Phases[PhaseId];
     Exploring = PS.BestIdx < 0;
-    if (!Exploring) {
-      CurConfigIdx = static_cast<size_t>(PS.BestIdx);
-      Serving.setAssocPreserving(Sweep[CurConfigIdx].Assoc);
-    } else {
-      // Explore at the largest (safe) configuration.
-      CurConfigIdx = Sweep.size() - 1;
-      Serving.setAssocPreserving(Sweep.back().Assoc);
-    }
+    // Explore at the largest (safe) configuration.
+    CurConfigIdx = Exploring ? Sweep.size() - 1
+                             : static_cast<size_t>(PS.BestIdx);
+    Probe.setServedWays(Sweep[CurConfigIdx].Assoc);
   }
 
   void beginInterval(int32_t PhaseId) {
@@ -183,8 +204,7 @@ private:
   }
 
   std::vector<CacheConfig> Sweep;
-  MultiCacheProbe Probe;
-  CacheModel Serving;
+  MultiCacheProbe Probe; ///< Also the served cache (see the file comment).
   double Tolerance;
   uint32_t ExploreIntervals;
 

@@ -94,6 +94,20 @@ private:
   uint64_t CurInstrs = 0;
 };
 
+/// The oracle policy's first pass: fixed-length intervals of \p FixedLen
+/// instructions with their BBVs. runSimPoint reads only each interval's
+/// Vector and NumInstrs, so no PerfModel runs (Perf counters stay zero),
+/// and with no memory observer the interpreter skips address generation.
+/// Vector and NumInstrs equal runFixedIntervals(B, In, FixedLen, true)'s.
+inline std::vector<IntervalRecord>
+oracleBbvIntervals(const Binary &B, const WorkloadInput &In,
+                   uint64_t FixedLen) {
+  IntervalBuilder Ivb =
+      IntervalBuilder::fixedLength(FixedLen, nullptr, /*CollectBbv=*/true);
+  Interpreter(B, In).runFast(Ivb);
+  return Ivb.takeIntervals();
+}
+
 /// Oracle SimPoint/BBV policy: cluster fixed-length BBV intervals offline,
 /// then replay with perfect next-interval phase knowledge (the paper's
 /// "ideal SimPoint-based approach", a stand-in for hardware BBV phase
@@ -103,9 +117,8 @@ runAdaptiveWithOracleBbv(const Binary &B, const WorkloadInput &In,
                          uint64_t FixedLen,
                          const SimPointConfig &SPConfig = SimPointConfig()) {
   // Pass 1: collect BBVs and cluster.
-  std::vector<IntervalRecord> Ivs =
-      runFixedIntervals(B, In, FixedLen, /*CollectBbv=*/true);
-  SimPointResult SP = runSimPoint(Ivs, SPConfig);
+  SimPointResult SP =
+      runSimPoint(oracleBbvIntervals(B, In, FixedLen), SPConfig);
 
   // Pass 2: replay deterministically, steering by the oracle phase ids.
   AdaptiveCacheEngine Engine;

@@ -163,25 +163,33 @@ public:
   using FireCallback = std::function<void(int32_t MarkerIdx)>;
 
   explicit ReuseMarkerRuntime(const ReuseMarkerSet &M) {
-    for (size_t I = 0; I < M.Blocks.size(); ++I)
-      Index[M.Blocks[I]] = static_cast<int32_t>(I);
+    for (size_t I = 0; I < M.Blocks.size(); ++I) {
+      uint32_t Id = M.Blocks[I];
+      if (Id >= Index.size())
+        Index.resize(static_cast<size_t>(Id) + 1, -1);
+      Index[Id] = static_cast<int32_t>(I); // A repeated block: last wins.
+    }
   }
 
   void setCallback(FireCallback CB) { Callback = std::move(CB); }
 
   void onBlock(const LoweredBlock &Blk) override {
-    auto It = Index.find(Blk.GlobalId);
-    if (It == Index.end())
+    if (Blk.GlobalId >= Index.size())
+      return;
+    int32_t Idx = Index[Blk.GlobalId];
+    if (Idx < 0)
       return;
     ++Fired;
     if (Callback)
-      Callback(It->second);
+      Callback(Idx);
   }
 
   uint64_t fireCount() const { return Fired; }
 
 private:
-  std::unordered_map<uint32_t, int32_t> Index;
+  /// Marker index by block id, -1 for unmarked blocks; as long as the
+  /// largest marker block id + 1.
+  std::vector<int32_t> Index;
   FireCallback Callback;
   uint64_t Fired = 0;
 };

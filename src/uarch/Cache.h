@@ -23,11 +23,23 @@
 /// finds its block at stack depth d hits in every configuration with more
 /// than d ways and misses in the rest.
 ///
-/// The cache the adaptive scheme actually *serves* from is a CacheModel,
-/// not a stack: its reconfiguration (setAssocPreserving) disables ways and
-/// later re-enables them empty, so after growing it holds fewer blocks
-/// than the stack prefix of the same depth, and the prefix property no
-/// longer describes its contents.
+/// The same stacks also hold the cache the adaptive scheme *serves* from,
+/// a way-masked cache whose associativity changes at run time. A fixed
+/// prefix of depth A does not describe it once it grows (re-enabled ways
+/// come back empty), but a per-set prefix of variable length does: a
+/// serving set always holds the most recently used distinct blocks of its
+/// set, only perhaps fewer of them than it has ways. Every valid block in
+/// it is more recent than every block the masking invalidated, and each
+/// operation keeps that true: a shrink keeps the most recent ways, a grow
+/// adds empty frames, a fill or hit puts its block on top and an eviction
+/// drops the oldest valid block. Serving set s is therefore always the top
+/// Fill[s] entries of stack s:
+///   - an access at depth d is a served hit iff d < Fill[s];
+///   - a served miss sets Fill[s] = min(Fill[s] + 1, served ways);
+///   - shrinking to k ways sets Fill[s] = min(Fill[s], k);
+///   - growing changes only the served ways, no fill count.
+/// CacheModel::setAssocPreserving is the explicit way-masking model this
+/// is checked against, access by access (tests/uarch_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,6 +157,9 @@ public:
   /// experiment models): shrinking disables ways but keeps the most
   /// recently used blocks of each set; growing re-enables ways with their
   /// (invalidated) frames. No whole-cache flush.
+  /// The adaptive cache serves from MultiCacheProbe's fill counts instead
+  /// (see the file comment); this explicit model is kept as the reference
+  /// the tests check those counts against.
   /// Throws std::invalid_argument when \p NewAssoc is zero.
   void setAssocPreserving(uint32_t NewAssoc) {
     if (NewAssoc == 0)
@@ -260,6 +275,11 @@ private:
 /// any order and may repeat. The stack is as deep as the largest Assoc;
 /// Hist[d] counts hits found at depth d, so a configuration with A ways
 /// missed Accesses - (Hist[0] + ... + Hist[A-1]) times.
+///
+/// It also serves one way-masked cache of the same geometry from the same
+/// stacks: Fill[s] counts the blocks that cache holds in set s, which are
+/// the top Fill[s] entries of stack s (file comment). It starts empty with
+/// every stack way enabled; setServedWays reconfigures it.
 class MultiCacheProbe {
 public:
   /// Throws std::invalid_argument on an empty sweep, a bad geometry, or
@@ -285,22 +305,50 @@ public:
     BlockBits = std::countr_zero(Sweep[0].BlockBytes);
     Stack.assign(static_cast<size_t>(Sweep[0].Sets) * Depth, ~0ull);
     Hist.assign(Depth, 0);
+    Fill.assign(Sweep[0].Sets, 0);
+    ServedWays = Depth;
   }
 
-  void access(uint64_t Addr) {
+  /// Records one access in every configuration; returns true when it hits
+  /// in the served cache.
+  bool access(uint64_t Addr) {
     ++Accesses;
     uint64_t Block = Addr >> BlockBits;
+    size_t Set = static_cast<size_t>(Block & SetMask);
     uint64_t Tag = Block >> SetBits;
-    uint64_t *S = &Stack[static_cast<size_t>(Block & SetMask) * Depth];
+    uint64_t *S = &Stack[Set * Depth];
     uint32_t D = 0;
-    while (D < Depth && S[D] != Tag)
-      ++D;
+    if (S[0] != Tag) { // At depth 0 the stack is already in order.
+      D = 1;
+      while (D < Depth && S[D] != Tag)
+        ++D;
+      // A miss everywhere drops the bottom entry. The shift is an inline
+      // loop: at most Depth - 1 moves, too short to pay for a memmove call.
+      for (uint32_t I = std::min(D, Depth - 1); I > 0; --I)
+        S[I] = S[I - 1];
+      S[0] = Tag;
+    }
     if (D < Depth)
       ++Hist[D];
-    else
-      D = Depth - 1; // Miss everywhere: the bottom entry falls off.
-    std::memmove(S + 1, S, D * sizeof(uint64_t));
-    S[0] = Tag;
+    uint32_t &F = Fill[Set];
+    if (D < F)
+      return true;
+    F = std::min(F + 1, ServedWays);
+    return false;
+  }
+
+  /// Enables \p Ways ways of the served cache: a shrink keeps each set's
+  /// most recent blocks, a grow adds empty frames. Throws
+  /// std::invalid_argument when \p Ways is 0 or deeper than the stack.
+  void setServedWays(uint32_t Ways) {
+    if (Ways == 0 || Ways > Depth)
+      throw std::invalid_argument("served ways = " + std::to_string(Ways) +
+                                  ": must be in 1.." + std::to_string(Depth) +
+                                  " (the stack depth)");
+    if (Ways < ServedWays)
+      for (uint32_t &F : Fill)
+        F = std::min(F, Ways);
+    ServedWays = Ways;
   }
 
   size_t size() const { return Sweep.size(); }
@@ -330,6 +378,8 @@ private:
   uint32_t BlockBits = 0;
   std::vector<uint64_t> Stack; ///< Sets x Depth tags, most recent first.
   std::vector<uint64_t> Hist;  ///< Hits by stack depth.
+  std::vector<uint32_t> Fill;  ///< Per set: blocks the served cache holds.
+  uint32_t ServedWays = 0;
   uint64_t Accesses = 0;
 };
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 using namespace spm;
 
@@ -53,6 +55,57 @@ TEST(AdaptiveCache, EngineExploresThenLocks) {
   EXPECT_DOUBLE_EQ(Engine.chosenSizeKB(7), 32.0);
   // Weighted average: 2 intervals at 256KB + 4 at 32KB over 6 equal ones.
   EXPECT_NEAR(R.AvgCacheKB, (2 * 256.0 + 4 * 32.0) / 6.0, 1.0);
+}
+
+TEST(AdaptiveCache, EngineRejectsEmptySweep) {
+  try {
+    AdaptiveCacheEngine Engine(std::vector<CacheConfig>{});
+    FAIL() << "empty sweep accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::strstr(E.what(), "empty"), nullptr) << E.what();
+  }
+}
+
+TEST(AdaptiveCache, EngineRejectsDescendingSweep) {
+  // Descending, the engine would explore at 32KB and lock in the largest
+  // adequate size.
+  std::vector<CacheConfig> Sweep = CacheConfig::reconfigSweep();
+  std::reverse(Sweep.begin(), Sweep.end());
+  try {
+    AdaptiveCacheEngine Engine(Sweep);
+    FAIL() << "descending sweep accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::strstr(E.what(), "entry 1 (Assoc = 7)"), nullptr)
+        << E.what();
+  }
+}
+
+TEST(AdaptiveCache, EngineRejectsRepeatedAssoc) {
+  std::vector<CacheConfig> Sweep = {
+      {512, 1, 64}, {512, 2, 64}, {512, 4, 64}, {512, 4, 64}, {512, 8, 64}};
+  try {
+    AdaptiveCacheEngine Engine(Sweep);
+    FAIL() << "repeated Assoc accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::strstr(E.what(), "entry 3 (Assoc = 4)"), nullptr)
+        << E.what();
+  }
+}
+
+TEST(AdaptiveCache, OraclePassOneMatchesFixedIntervals) {
+  // The oracle's first pass runs no PerfModel; the BBVs and lengths it
+  // clusters must still be exactly runFixedIntervals'.
+  Workload W = WorkloadRegistry::create("swim");
+  auto Bin = lower(*W.Program, LoweringOptions::O2());
+  std::vector<IntervalRecord> Got = oracleBbvIntervals(*Bin, W.Ref, 10000);
+  std::vector<IntervalRecord> Want =
+      runFixedIntervals(*Bin, W.Ref, 10000, /*CollectBbv=*/true);
+  ASSERT_EQ(Got.size(), Want.size());
+  ASSERT_GT(Got.size(), 10u);
+  for (size_t I = 0; I < Got.size(); ++I) {
+    EXPECT_EQ(Got[I].NumInstrs, Want[I].NumInstrs) << "interval " << I;
+    EXPECT_EQ(Got[I].Vector, Want[I].Vector) << "interval " << I;
+  }
 }
 
 TEST(AdaptiveCache, BigWorkingSetKeepsBigCache) {

@@ -131,6 +131,22 @@ TEST(ReuseMarkers, StruggleOnIrregularPrograms) {
   EXPECT_LE(Found, 1) << "irregular programs should defeat the baseline";
 }
 
+TEST(ReuseMarkers, RuntimeMapsBlocksToMarkerIndices) {
+  ReuseMarkerSet M;
+  M.Blocks = {5, 2, 5}; // A repeated block keeps its last index.
+  M.Labels = {0, 1, 2};
+  ReuseMarkerRuntime RT(M);
+  std::vector<int32_t> Fired;
+  RT.setCallback([&](int32_t Idx) { Fired.push_back(Idx); });
+  LoweredBlock Blk;
+  for (uint32_t Id : {0u, 2u, 5u, 6u, 4000000000u, 5u}) {
+    Blk.GlobalId = Id;
+    RT.onBlock(Blk);
+  }
+  EXPECT_EQ(Fired, (std::vector<int32_t>{1, 2, 2}));
+  EXPECT_EQ(RT.fireCount(), 3u);
+}
+
 TEST(ReuseMarkers, RuntimeFiresOnMarkedBlocks) {
   Workload W = WorkloadRegistry::create("compress95");
   auto B = lower(*W.Program, LoweringOptions::O2());

@@ -250,6 +250,96 @@ TEST(MultiCacheProbe, ExactOnSixteenSets) {
 }
 
 //===----------------------------------------------------------------------===//
+// MultiCacheProbe's served cache: exact against CacheModel +
+// setAssocPreserving, access by access
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Random way counts in 1..8, each held for 1..400 accesses, spliced with
+/// fixed runs that shrink to one way and grow straight back, step down and
+/// up one way at a time, and repeat the current size.
+std::vector<std::pair<uint32_t, uint32_t>> reconfigPlan(Rng &R,
+                                                        size_t Steps) {
+  std::vector<std::pair<uint32_t, uint32_t>> Plan; // {ways, accesses}
+  auto Hold = [&] { return static_cast<uint32_t>(1 + R.nextBelow(400)); };
+  for (size_t I = 0; I < Steps; ++I) {
+    switch (R.nextBelow(8)) {
+    case 0: // Shrink to one way, then grow straight back to all eight.
+      Plan.push_back({1, Hold()});
+      Plan.push_back({8, Hold()});
+      break;
+    case 1: // Walk down and back up one way at a time.
+      for (uint32_t W = 7; W >= 1; --W)
+        Plan.push_back({W, Hold()});
+      for (uint32_t W = 2; W <= 8; ++W)
+        Plan.push_back({W, Hold()});
+      break;
+    case 2: // The same size again.
+      Plan.push_back({Plan.empty() ? 8 : Plan.back().first, Hold()});
+      break;
+    default:
+      Plan.push_back({static_cast<uint32_t>(1 + R.nextBelow(8)), Hold()});
+    }
+  }
+  return Plan;
+}
+
+/// Drives a MultiCacheProbe and a CacheModel reconfigured by
+/// setAssocPreserving (the reference) through the same random stream and
+/// the same way counts, comparing every access's served hit. Returns the
+/// number of accesses compared.
+size_t expectServedExact(uint32_t Sets, uint64_t Seed) {
+  std::vector<CacheConfig> Sweep = waysSweep(Sets, 64);
+  MultiCacheProbe Probe(Sweep);
+  CacheModel Ref(Sweep.back());
+  Rng R(Seed);
+  // Blocks: a hot region six blocks per set deep (fits from six ways up),
+  // a wider one twice the largest cache, and stray blocks far away.
+  uint64_t Stride = static_cast<uint64_t>(Sets) * 64;
+  size_t N = 0;
+  uint64_t Hits = 0;
+  for (auto [Ways, Count] : reconfigPlan(R, 600)) {
+    Probe.setServedWays(Ways);
+    Ref.setAssocPreserving(Ways);
+    for (uint32_t I = 0; I < Count; ++I, ++N) {
+      uint64_t Pick = R.nextBelow(16);
+      uint64_t Addr = Pick < 10   ? R.nextBelow(6 * Stride)
+                      : Pick < 15 ? R.nextBelow(16 * Stride)
+                                  : (1ull << 40) + R.nextBelow(1ull << 30);
+      bool Hit = Probe.access(Addr);
+      if (Hit != Ref.access(Addr)) {
+        ADD_FAILURE() << Sets << " sets, seed " << Seed << ", access " << N
+                      << " at " << Ways << " ways: probe "
+                      << (Hit ? "hit" : "missed");
+        return N;
+      }
+      Hits += Hit;
+    }
+  }
+  EXPECT_GT(Hits, N / 8) << "stream too cold to exercise hits";
+  EXPECT_LT(Hits, N - N / 8) << "stream too warm to exercise misses";
+  return N;
+}
+
+} // namespace
+
+TEST(ServedCache, MatchesWayMaskedCacheModelOnOneSet) {
+  EXPECT_GT(expectServedExact(1, 1), 100000u);
+  EXPECT_GT(expectServedExact(1, 2), 100000u);
+}
+
+TEST(ServedCache, MatchesWayMaskedCacheModelOnSixteenSets) {
+  EXPECT_GT(expectServedExact(16, 3), 100000u);
+  EXPECT_GT(expectServedExact(16, 4), 100000u);
+}
+
+TEST(ServedCache, MatchesWayMaskedCacheModelOnReconfigGeometry) {
+  EXPECT_GT(expectServedExact(512, 5), 100000u);
+  EXPECT_GT(expectServedExact(512, 6), 100000u);
+}
+
+//===----------------------------------------------------------------------===//
 // Cache geometry validation (kept in every build type, not an assert)
 //===----------------------------------------------------------------------===//
 
@@ -311,6 +401,21 @@ TEST(CacheGeometry, SetAssocPreservingRejectsZeroWays) {
   std::string M = invalidArgument([&] { C.setAssocPreserving(0); });
   EXPECT_TRUE(names(M, "Assoc")) << M;
   EXPECT_EQ(C.config().Assoc, 2u);
+}
+
+TEST(CacheGeometry, ServedWaysRejectsZero) {
+  MultiCacheProbe P(waysSweep(16, 64));
+  std::string M = invalidArgument([&] { P.setServedWays(0); });
+  EXPECT_TRUE(names(M, "served ways = 0")) << M;
+}
+
+TEST(CacheGeometry, ServedWaysRejectsDepthOverflow) {
+  // Stack depth is the sweep's largest Assoc, here 4.
+  MultiCacheProbe P({{16, 4, 64}, {16, 2, 64}});
+  P.setServedWays(4);
+  std::string M = invalidArgument([&] { P.setServedWays(5); });
+  EXPECT_TRUE(names(M, "served ways = 5")) << M;
+  EXPECT_TRUE(names(M, "1..4")) << M;
 }
 
 TEST(CacheGeometry, ProbeRejectsEmptySweep) {
