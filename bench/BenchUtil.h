@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common setup shared by the per-figure harnesses: workload preparation
-/// (lower + loop recovery + train/ref profiles) and the marker-selection
-/// configurations the paper's bar groups use. The scaled experiment knobs
+/// Common setup shared by the figures of bench/spm_figures: workload
+/// preparation (lower + loop recovery + train/ref profiles), the
+/// marker-selection configurations the paper's bar groups use, and the
+/// per-workload rows several figures print. The scaled experiment knobs
 /// live here so every figure uses the same 1000x-reduced constants:
 ///
 ///   paper                     here
@@ -34,8 +35,6 @@
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -72,14 +71,9 @@ inline Prepared prepare(const std::string &Name) {
   return P;
 }
 
-/// Shared argument parsing for the figure harnesses: "--jobs N" (0 = one
-/// worker per hardware thread) sets the ambient parallel job count;
-/// SPM_JOBS is the environment fallback.
-inline void parseBenchArgs(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      setParallelJobs(std::atoi(Argv[I + 1]));
-}
+/// An observer that handles no event: Interpreter::runFast on it only
+/// counts instructions.
+struct NullSink {};
 
 /// The marker-selection configurations of Figs. 7-9's bar groups.
 inline SelectorConfig noLimitConfig(bool ProceduresOnly = false) {
@@ -133,10 +127,9 @@ struct BehaviorRow {
 };
 
 /// Runs every approach on one workload. This is the shared computation
-/// behind fig07/fig08/fig09.
-inline BehaviorRow computeBehaviorRow(const std::string &Name) {
+/// behind Figs. 7, 8 and 9.
+inline BehaviorRow computeBehaviorRow(const Prepared &P) {
   BehaviorRow Row;
-  Prepared P = prepare(Name);
   Row.Name = P.W.displayName();
 
   // BBV baseline: fixed 10K intervals clustered by SimPoint.
@@ -183,8 +176,8 @@ inline BehaviorRow computeBehaviorRow(const std::string &Name) {
   return Row;
 }
 
-/// One workload's line in the suite-overview table (bench/suite_summary).
-/// Factored out of the harness so the serial-equivalence tests can compare
+/// One workload's line in the suite-overview table (suite_summary).
+/// Factored out of the figure so the serial-equivalence tests can compare
 /// jobs=1 and jobs=N rows field by field.
 struct SuiteRow {
   std::string Name;
@@ -194,12 +187,11 @@ struct SuiteRow {
   double AvgIv = 0.0, CovCpi = 0.0, Whole10K = 0.0;
 };
 
-inline SuiteRow computeSuiteRow(const std::string &Name) {
+inline SuiteRow computeSuiteRow(const Prepared &P) {
   SuiteRow Row;
-  Prepared P = prepare(Name);
-  ExecutionObserver Nop1, Nop2;
-  RunResult Train = Interpreter(*P.Bin, P.W.Train).run(Nop1);
-  RunResult Ref = Interpreter(*P.Bin, P.W.Ref).run(Nop2);
+  NullSink Nop;
+  RunResult Train = Interpreter(*P.Bin, P.W.Train).runFast(Nop);
+  RunResult Ref = Interpreter(*P.Bin, P.W.Ref).runFast(Nop);
 
   SelectionResult Sel = selectMarkers(*P.GTrain, noLimitConfig());
   MarkerRun R = runMarkerIntervals(*P.Bin, P.Loops, *P.GTrain, Sel.Markers,
@@ -219,6 +211,56 @@ inline SuiteRow computeSuiteRow(const std::string &Name) {
   Row.CovCpi = S.OverallCov;
   Row.Whole10K = wholeProgramCov(
       runFixedIntervals(*P.Bin, P.W.Ref, FixedBbvInterval, false), cpiMetric);
+  return Row;
+}
+
+/// Figs. 11 and 12 report two views (simulation time, CPI error) of the
+/// same experiment: standard fixed-length SimPoint at three interval sizes
+/// versus SimPoint 3.0 over marker-cut VLIs at three coverage levels. The
+/// fixed-length kmax values follow the paper's scaling rule ([22]): more,
+/// smaller intervals warrant more clusters. A row holds one benchmark's
+/// estimate under each of the six configurations.
+struct SimPointRow {
+  std::string Name;
+  // SP_1K, SP_10K, SP_100K then VLI 95%, 99%, 100%.
+  CpiEstimate Est[6];
+};
+
+inline SimPointRow computeSimPointRow(const Prepared &P) {
+  SimPointRow Row;
+  Row.Name = P.W.displayName();
+
+  // Fixed-length SimPoint at 1K/10K/100K (paper: 1M/10M/100M) with the
+  // scaled kmax of 30/30/10 (paper: 300/30/10; 300 clusters over a few
+  // thousand points degenerates at our scale, so the finest level reuses
+  // 30). The three configurations are independent runs over the same
+  // prepared binary, so they fan out over the ambient job count.
+  struct {
+    uint64_t Len;
+    uint32_t KMax;
+  } FixedCfg[3] = {{1000, 30}, {10000, 30}, {100000, 10}};
+  std::vector<CpiEstimate> Fixed = parallelMap(3, [&](size_t I) {
+    std::vector<IntervalRecord> Ivs =
+        runFixedIntervals(*P.Bin, P.W.Ref, FixedCfg[I].Len, true);
+    SimPointConfig SPC;
+    SPC.KMax = FixedCfg[I].KMax;
+    SPC.Restarts = 3;
+    SimPointResult SP = runSimPoint(Ivs, SPC);
+    return estimateCpi(Ivs, SP, 1.0);
+  });
+  for (int I = 0; I < 3; ++I)
+    Row.Est[I] = Fixed[I];
+
+  // Marker VLIs with the Sec. 5.2 limit heuristics, SimPoint 3.0 weighted
+  // clustering, coverage 95/99/100%.
+  MarkerRun Vli = markerRun(P, *P.GRef, limitConfig(), /*CollectBbv=*/true);
+  SimPointConfig SPC;
+  SPC.KMax = 10;
+  SPC.WeightByLength = true;
+  SimPointResult SP = runSimPoint(Vli.Intervals, SPC);
+  const double Coverage[3] = {0.95, 0.99, 1.0};
+  for (int I = 0; I < 3; ++I)
+    Row.Est[3 + I] = estimateCpi(Vli.Intervals, SP, Coverage[I]);
   return Row;
 }
 

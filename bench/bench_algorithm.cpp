@@ -90,9 +90,9 @@ void BM_InterpreterRaw(benchmark::State &State) {
   auto B = lower(*W.Program, LoweringOptions::O2());
   uint64_t Instrs = 0;
   for (auto _ : State) {
-    ExecutionObserver Nop;
+    NullSink Nop;
     Interpreter Interp(*B, W.Train);
-    RunResult R = Interp.run(Nop);
+    RunResult R = Interp.runFast(Nop);
     Instrs += R.TotalInstrs;
   }
   State.SetItemsProcessed(static_cast<int64_t>(Instrs));

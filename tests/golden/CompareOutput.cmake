@@ -1,12 +1,12 @@
-# Runs a figure harness and compares its stdout byte for byte with a golden
-# file. On a difference it writes what the harness printed to ACTUAL and
-# fails.
+# Runs a program and compares its stdout byte for byte with the
+# concatenation of one or more golden files. On a difference it writes what
+# the program printed to ACTUAL and fails.
 #
-#   cmake -DEXE=<harness> -DGOLDEN=<golden.txt> -DACTUAL=<out.txt> \
-#         -P CompareOutput.cmake
+#   cmake -DEXE=<program> [-DARGS=<arg;arg...>] -DGOLDEN=<a.txt;b.txt...> \
+#         -DACTUAL=<out.txt> -P CompareOutput.cmake
 #
-# A change that moves a number on purpose re-blesses the golden file (copy
-# ACTUAL over it) and says why in EXPERIMENTS.md.
+# A change that moves a number on purpose re-blesses the golden file and
+# says why in EXPERIMENTS.md.
 cmake_minimum_required(VERSION 3.16)
 
 foreach(Var EXE GOLDEN ACTUAL)
@@ -15,13 +15,19 @@ foreach(Var EXE GOLDEN ACTUAL)
   endif()
 endforeach()
 
-execute_process(COMMAND "${EXE}" OUTPUT_VARIABLE Out RESULT_VARIABLE Rc)
+execute_process(COMMAND "${EXE}" ${ARGS} OUTPUT_VARIABLE Out
+                RESULT_VARIABLE Rc)
 if(NOT Rc EQUAL 0)
-  message(FATAL_ERROR "${EXE} failed: ${Rc}")
+  message(FATAL_ERROR "${EXE} ${ARGS} failed: ${Rc}")
 endif()
-file(READ "${GOLDEN}" Want)
+set(Want "")
+foreach(File IN LISTS GOLDEN)
+  file(READ "${File}" Part)
+  string(APPEND Want "${Part}")
+endforeach()
 if(NOT Out STREQUAL Want)
   file(WRITE "${ACTUAL}" "${Out}")
   message(FATAL_ERROR "${EXE} output differs from ${GOLDEN}.\n"
-                      "It printed ${ACTUAL}; compare with: diff ${GOLDEN} ${ACTUAL}")
+                      "It printed ${ACTUAL}; compare with the golden "
+                      "files in order, e.g. cat <golden files> | diff - ${ACTUAL}")
 endif()

@@ -127,11 +127,11 @@ TEST_P(SerialEquivalence, SuiteSummaryRowBitIdentical) {
   SuiteRow Serial, Parallel;
   {
     ScopedJobs J(1);
-    Serial = computeSuiteRow(name());
+    Serial = computeSuiteRow(prepare(name()));
   }
   {
     ScopedJobs J(4);
-    Parallel = computeSuiteRow(name());
+    Parallel = computeSuiteRow(prepare(name()));
   }
   EXPECT_EQ(Serial.Name, Parallel.Name);
   EXPECT_EQ(Serial.Funcs, Parallel.Funcs);

@@ -31,6 +31,7 @@
 #include "markers/Serialize.h"
 #include "phase/Metrics.h"
 #include "phase/PhaseStats.h"
+#include "support/ArgParse.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 #include "support/FlightRecorder.h"
@@ -45,7 +46,6 @@
 #include <memory>
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -219,30 +219,6 @@ bool valueOpt(const std::string &Arg, const char *Flag, int &I, int Argc,
     return true;
   }
   return false;
-}
-
-/// Parses \p Text as a whole non-negative decimal integer no larger than
-/// \p Max. On failure prints `arg[<Flag>]: <detail>` and returns false, so
-/// `--ilower 10k` or `--jobs four` is refused instead of running on a
-/// silently truncated value.
-bool parseCount(const char *Flag, const std::string &Text, uint64_t &Out,
-                uint64_t Max = std::numeric_limits<uint64_t>::max()) {
-  const char *End = Text.data() + Text.size();
-  uint64_t V = 0;
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
-  if (Text.empty() || Ptr != End) {
-    std::fprintf(stderr,
-                 "arg[%s]: expected a non-negative integer, got '%s'\n",
-                 Flag, Text.c_str());
-    return false;
-  }
-  if (Ec == std::errc::result_out_of_range || V > Max) {
-    std::fprintf(stderr, "arg[%s]: %s is out of range (max %llu)\n", Flag,
-                 Text.c_str(), static_cast<unsigned long long>(Max));
-    return false;
-  }
-  Out = V;
-  return true;
 }
 
 CommonArgs parseArgs(int Argc, char **Argv, int Start) {
