@@ -21,7 +21,7 @@ void CallLoopTracker::onRunStart(const Binary &Bin, const WorkloadInput &In) {
   pushFrame(NodeKind::ProcBody, G.procBody(0), G.procHead(0), -1, 0);
 }
 
-void CallLoopTracker::maintainLoops(const LoweredBlock &Blk) {
+void CallLoopTracker::popExitedLoops(const LoweredBlock &Blk) {
   while (Stack.back().K == NodeKind::LoopBody) {
     const StaticLoop &SL = Loops.loop(Stack.back().LoopId);
     // Callee code never reaches here with caller loop frames on top: calls
@@ -37,28 +37,9 @@ void CallLoopTracker::maintainLoops(const LoweredBlock &Blk) {
   }
 }
 
-void CallLoopTracker::onBlock(const LoweredBlock &Blk) {
-  maintainLoops(Blk);
-
-  int32_t L = Loops.headerLoop(Blk.GlobalId);
-  if (L >= 0) {
-    Frame &Top = Stack.back();
-    if (Top.K == NodeKind::LoopBody && Top.LoopId == L) {
-      // Back at the header with this loop's body on top: one iteration
-      // ended, the next begins.
-      popFrame();
-      pushFrame(NodeKind::LoopBody, G.loopBody(L), G.loopHead(L), L,
-                Blk.FuncId);
-    } else {
-      // Loop entry.
-      pushFrame(NodeKind::LoopHead, G.loopHead(L), currentCtx(), L,
-                Blk.FuncId);
-      pushFrame(NodeKind::LoopBody, G.loopBody(L), G.loopHead(L), L,
-                Blk.FuncId);
-    }
-  }
-
-  Stack.back().Hier += Blk.NumInstrs;
+void CallLoopTracker::enterLoop(int32_t L, uint32_t FuncId) {
+  pushFrame(NodeKind::LoopHead, G.loopHead(L), currentCtx(), L, FuncId);
+  pushFrame(NodeKind::LoopBody, G.loopBody(L), G.loopHead(L), L, FuncId);
 }
 
 void CallLoopTracker::onCall(uint64_t SiteAddr, uint32_t Callee) {
@@ -125,6 +106,7 @@ bool CallLoopTracker::restoreState(const TrackerCheckpoint &St) {
     Stack.push_back({K, F.Node, F.EdgeFrom, F.Hier, F.LoopId, F.FuncId,
                      EdgeId});
   }
+  refreshRegion();
   ActiveDepth = St.ActiveDepth;
   return true;
 }

@@ -192,21 +192,66 @@ private:
     for (TrackerListener *L : Listeners)
       L->onEdgeBegin(From, Node);
     Stack.push_back({K, Node, From, 0, LoopId, FuncId, EdgeId});
+    refreshRegion();
   }
 
   void popFrame() {
     assert(Stack.size() > 1 && "cannot pop the root frame");
     Frame F = Stack.back();
     Stack.pop_back();
-    Stack.back().Hier += F.Hier;
+    endTraversal(F, Stack.back());
+    refreshRegion();
+  }
+
+  /// Ends \p F's traversal: its hierarchical count goes to \p Parent and
+  /// to the profile edge, and the listeners see the edge end.
+  void endTraversal(const Frame &F, Frame &Parent) {
+    Parent.Hier += F.Hier;
     if (PG)
       PG->addTraversalById(F.EdgeId, F.Hier);
     for (TrackerListener *L : Listeners)
       L->onEdgeEnd(F.EdgeFrom, F.Node, F.Hier);
   }
 
-  /// Pops loop frames whose static region no longer contains \p Blk.
-  void maintainLoops(const LoweredBlock &Blk);
+  /// Ends the top loop body's traversal (one iteration) and begins the
+  /// next on the same frame: the events and stats of a pop followed by a
+  /// push of the same head->body edge, without rebuilding the frame.
+  void nextIteration() {
+    Frame &Body = Stack.back();
+    assert(Body.K == NodeKind::LoopBody && Stack.size() > 2 &&
+           "iteration without a loop body on top");
+    endTraversal(Body, Stack[Stack.size() - 2]);
+    for (TrackerListener *L : Listeners)
+      L->onEdgeBegin(Body.EdgeFrom, Body.Node);
+    Body.Hier = 0;
+  }
+
+  /// Caches the static region of the top frame's loop as [RegionLo,
+  /// RegionLo + RegionLast] while a loop body is on top, and the whole
+  /// address space otherwise, so the per-block exit test is one subtract
+  /// and compare. Called whenever the top frame changes.
+  void refreshRegion() {
+    const Frame &Top = Stack.back();
+    if (Top.K != NodeKind::LoopBody) {
+      RegionLo = 0;
+      RegionLast = ~0ull;
+      return;
+    }
+    const StaticLoop &SL = Loops.loop(Top.LoopId);
+    assert(SL.EndAddr > SL.HeaderAddr && "empty loop region");
+    RegionLo = SL.HeaderAddr;
+    RegionLast = SL.EndAddr - SL.HeaderAddr - 1;
+  }
+
+  /// Pops loop frames whose static region no longer contains \p Blk; the
+  /// pop loop runs only when the cached region test fails.
+  void maintainLoops(const LoweredBlock &Blk) {
+    if (Blk.Addr - RegionLo > RegionLast)
+      popExitedLoops(Blk);
+  }
+  void popExitedLoops(const LoweredBlock &Blk);
+  /// Pushes loop \p L's head and body frames (loop entry).
+  void enterLoop(int32_t L, uint32_t FuncId);
 
   const Binary &B;
   const LoopIndex &Loops;
@@ -214,12 +259,33 @@ private:
   CallLoopGraph *PG = nullptr; ///< Direct profile target (opt-in, mutable).
   std::vector<TrackerListener *> Listeners;
   std::vector<Frame> Stack;
+  uint64_t RegionLo = 0;       ///< Top loop's region start; see
+  uint64_t RegionLast = ~0ull; ///< refreshRegion(). Size minus one.
   std::vector<uint32_t> ActiveDepth;  ///< Per function activation count.
   std::vector<uint32_t> LoopBodyEdge; ///< LoopId -> head->body edge id.
   std::vector<uint32_t> ProcBodyEdge; ///< FuncId -> head->body edge id.
   std::vector<EdgeCache> LoopHeadCache; ///< LoopId -> last head-entry edge.
   std::vector<EdgeCache> ProcHeadCache; ///< FuncId -> last episode edge.
 };
+
+// Inline so the engines' per-observer instantiations compile the per-block
+// path into the block loop; loop entry and exit stay out of line.
+inline void CallLoopTracker::onBlock(const LoweredBlock &Blk) {
+  maintainLoops(Blk);
+
+  int32_t L = Loops.headerLoop(Blk.GlobalId);
+  if (L >= 0) {
+    const Frame &Top = Stack.back();
+    if (Top.K == NodeKind::LoopBody && Top.LoopId == L)
+      // Back at the header with this loop's body on top: one iteration
+      // ended, the next begins.
+      nextIteration();
+    else
+      enterLoop(L, Blk.FuncId);
+  }
+
+  Stack.back().Hier += Blk.NumInstrs;
+}
 
 } // namespace spm
 

@@ -18,6 +18,7 @@
 #ifndef SPM_SUPPORT_STATS_H
 #define SPM_SUPPORT_STATS_H
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -32,9 +33,17 @@ public:
   /// Adds one observation.
   void add(double X) {
     ++N;
-    double Delta = X - Mean;
-    Mean += Delta / static_cast<double>(N);
-    M2 += Delta * (X - Mean);
+    // Exact fast step: when X equals a finite, non-negative Mean and M2 is
+    // finite and non-negative, Delta is a zero and Welford's update below
+    // would leave Mean and M2 unchanged bit for bit, so skip its division.
+    // Call-loop edges repeat one hierarchical count on most traversals.
+    // Inf, NaN and negative (including -0) Mean or M2 take the full step.
+    if (!(X == Mean && std::bit_cast<uint64_t>(Mean) < FiniteNonNegEnd &&
+          std::bit_cast<uint64_t>(M2) < FiniteNonNegEnd)) {
+      double Delta = X - Mean;
+      Mean += Delta / static_cast<double>(N);
+      M2 += Delta * (X - Mean);
+    }
     if (X > Max)
       Max = X;
     if (X < Min)
@@ -83,6 +92,10 @@ public:
   }
 
 private:
+  /// Bit patterns below this are the finite doubles with a clear sign bit
+  /// (+0 through the largest finite value); +inf is the first excluded.
+  static constexpr uint64_t FiniteNonNegEnd = 0x7ff0000000000000ULL;
+
   uint64_t N = 0;
   double Mean = 0.0;
   double M2 = 0.0;

@@ -265,11 +265,11 @@ private:
         Sk.A0 = S.Stride * N;
         break;
       case MemAccessSpec::Pattern::Random:
-        Sk.A0 = 0x9e3779b97f4a7c15ULL * N; // genAddress's counter gamma.
+        Sk.A0 = 0x9e3779b97f4a7c15ULL * N; // emitMemRunsT's counter gamma.
         break;
       case MemAccessSpec::Pattern::Chase: {
         auto AP = affinePow(6364136223846793005ULL, 1442695040888963407ULL,
-                            S.N); // genAddress's chase LCG.
+                            S.N); // emitMemRunsT's chase LCG.
         Sk.A0 = AP.first;
         Sk.A1 = AP.second;
         break;

@@ -316,11 +316,6 @@ private:
 #endif
   void
   bcReplayTapeT(const BytecodeModule &M, const BcTape &T, Emit &E);
-  /// Emits every memory run of \p Blk with the per-run invariants (region
-  /// base, working-set size, slot scaling) hoisted out of the per-address
-  /// loop. Must mirror genAddress exactly, address by address — the cache
-  /// differential fuzz legs enforce the equality.
-  template <class Emit> void bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E);
   /// Books a replayed tape's precomputed totals and — unless the replay
   /// already emitted (and thereby advanced) the memory streams — applies
   /// the bulk per-site cursor skips.
@@ -397,12 +392,17 @@ private:
   /// Emits the block event and its memory accesses; returns false when the
   /// instruction budget is exhausted.
   template <class Emit> bool execBlockT(const LoweredBlock &Blk, Emit &E);
-  uint64_t genAddress(const MemAccessSpec &M, uint32_t Site);
+  /// Emits every memory run of \p Blk, one beginMemRun/endMemRun pair per
+  /// MemAccessSpec, and returns the number of addresses emitted. The one
+  /// address formula of both tiers, with the per-run invariants (region
+  /// base, working-set size, slot count) hoisted out of the address loop.
+  template <class Emit>
+  uint64_t emitMemRunsT(const LoweredBlock &Blk, Emit &E);
   /// Advances all address-generation state (per-site cursors and counters)
-  /// exactly as Count genAddress calls would, without materializing the
-  /// addresses. Used when the sink provably ignores memory events. Address
-  /// generation never touches the shared control-flow RNG, so skipping is
-  /// invisible to the rest of the stream by construction.
+  /// exactly as emitting the site's Count addresses would, without
+  /// materializing them. Used when the sink provably ignores memory
+  /// events. Address generation never touches the shared control-flow RNG,
+  /// so skipping is invisible to the rest of the stream by construction.
   void skipAccesses(const MemAccessSpec &M, uint32_t Site);
   uint64_t evalTrip(const TripCountSpec &T, uint32_t Site);
   bool evalCond(const CondSpec &C, uint32_t Site);
@@ -442,44 +442,6 @@ private:
 // instantiation, including runFast's per-observer ones, compiles into its
 // caller with full inlining of the evaluators below.
 //===----------------------------------------------------------------------===//
-
-inline uint64_t Interpreter::genAddress(const MemAccessSpec &M,
-                                        uint32_t Site) {
-  uint64_t Base = regionBase(M.RegionIdx);
-  uint64_t Size = RegionSizes[M.RegionIdx];
-  // Active working set: the leading fraction of the region this site uses.
-  uint64_t WS = Size * M.WorkingSetFrac256 / 256;
-  if (WS < 64)
-    WS = 64;
-
-  switch (M.Pat) {
-  case MemAccessSpec::Pattern::Sequential: {
-    uint64_t Addr = Base + (SeqPos[Site] % WS);
-    SeqPos[Site] += M.Stride;
-    return Addr;
-  }
-  case MemAccessSpec::Pattern::Random: {
-    uint64_t Z = splitMix64(RandState[Site] += 0x9e3779b97f4a7c15ULL);
-    // Map to [0, WS/8) by fixed-point scaling — no division on the hot
-    // path, negligible bias for word counts far below 2^64.
-    uint64_t Slot = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(Z) * (WS / 8)) >> 64);
-    return Base + Slot * 8;
-  }
-  case MemAccessSpec::Pattern::Point:
-    return Base + (M.Offset % Size);
-  case MemAccessSpec::Pattern::Chase: {
-    // Dependent random walk with a per-site LCG so the chain is
-    // reproducible and independent of the shared random stream.
-    uint64_t S = ChaseState[Site];
-    S = S * 6364136223846793005ULL + 1442695040888963407ULL;
-    ChaseState[Site] = S;
-    return Base + ((S >> 11) % (WS / 8)) * 8;
-  }
-  }
-  assert(false && "unknown memory pattern");
-  return Base;
-}
 
 inline void Interpreter::skipAccesses(const MemAccessSpec &M,
                                       uint32_t Site) {
@@ -546,15 +508,7 @@ bool Interpreter::execBlockT(const LoweredBlock &Blk, Emit &E) {
   Result.TotalInstrs += Blk.NumInstrs;
   ++Result.TotalBlocks;
   if (E.wantsMem()) {
-    for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
-      const MemAccessSpec &M = Blk.MemOps[I];
-      uint32_t Site = Blk.FirstMemSite + static_cast<uint32_t>(I);
-      E.beginMemRun();
-      for (uint32_t C = 0; C < M.Count; ++C)
-        E.memAddr(genAddress(M, Site), M.IsStore);
-      E.endMemRun(M.IsStore);
-      Result.TotalMemAccesses += M.Count;
-    }
+    Result.TotalMemAccesses += emitMemRunsT(Blk, E);
   } else {
     for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
       const MemAccessSpec &M = Blk.MemOps[I];
@@ -860,21 +814,23 @@ RunResult Interpreter::segmentT(Emit &E, const InterpCheckpoint *From,
 #endif
 
 template <class Emit>
-void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
-  // Kept in lockstep with genAddress/execBlockT: same cursor reads, same
-  // arithmetic, same store-back — only the per-run invariants (Base, WS,
-  // slot count) are hoisted out of the address loop.
+uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
+  uint64_t Emitted = 0;
   for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
     const MemAccessSpec &Ms = Blk.MemOps[I];
     const uint32_t Site = Blk.FirstMemSite + static_cast<uint32_t>(I);
     const uint64_t Base = regionBase(Ms.RegionIdx);
     const uint64_t Size = RegionSizes[Ms.RegionIdx];
+    // Active working set: the leading fraction of the region this site
+    // uses, never below one 64-byte line.
     uint64_t WS = Size * Ms.WorkingSetFrac256 / 256;
     if (WS < 64)
       WS = 64;
+    const uint64_t Slots = WS / 8;
     E.beginMemRun();
     switch (Ms.Pat) {
     case MemAccessSpec::Pattern::Sequential: {
+      // Walk the working set with Stride, wrapping.
       uint64_t P = SeqPos[Site];
       for (uint32_t C = 0; C < Ms.Count; ++C) {
         E.memAddr(Base + (P % WS), Ms.IsStore);
@@ -884,8 +840,9 @@ void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
       break;
     }
     case MemAccessSpec::Pattern::Random: {
+      // Counter-based stream, mapped to [0, Slots) by fixed-point scaling:
+      // negligible bias for slot counts far below 2^64.
       uint64_t S = RandState[Site];
-      const uint64_t Slots = WS / 8;
       for (uint32_t C = 0; C < Ms.Count; ++C) {
         uint64_t Z = splitMix64(S += 0x9e3779b97f4a7c15ULL);
         uint64_t Slot = static_cast<uint64_t>(
@@ -902,8 +859,9 @@ void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
       break;
     }
     case MemAccessSpec::Pattern::Chase: {
+      // Dependent random walk with a per-site LCG so the chain is
+      // reproducible and independent of the shared random stream.
       uint64_t S = ChaseState[Site];
-      const uint64_t Slots = WS / 8;
       for (uint32_t C = 0; C < Ms.Count; ++C) {
         S = S * 6364136223846793005ULL + 1442695040888963407ULL;
         E.memAddr(Base + ((S >> 11) % Slots) * 8, Ms.IsStore);
@@ -913,7 +871,9 @@ void Interpreter::bcEmitMemRunsT(const LoweredBlock &Blk, Emit &E) {
     }
     }
     E.endMemRun(Ms.IsStore);
+    Emitted += Ms.Count;
   }
+  return Emitted;
 }
 
 template <class Emit>
@@ -952,7 +912,7 @@ void Interpreter::bcReplayTapeT(const BytecodeModule &M, const BcTape &T,
       const LoweredBlock &Blk = B.block(A[I]);
       E.block(Blk);
       if (E.wantsMem())
-        bcEmitMemRunsT(Blk, E);
+        emitMemRunsT(Blk, E);
       ++I;
       break;
     }
@@ -1136,7 +1096,7 @@ bool Interpreter::bcDispatchT(const BytecodeModule &M, Emit &E,
           const LoweredBlock &Blk = B.block(A[I]);
           E.block(Blk);
           if (E.wantsMem())
-            bcEmitMemRunsT(Blk, E);
+            emitMemRunsT(Blk, E);
         }
         bcFinishTape(M, T, E.wantsMem());
       } else {

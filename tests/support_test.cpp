@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 using namespace spm;
@@ -144,6 +147,111 @@ TEST(RunningStat, CovIsStddevOverMean) {
   S.add(10);
   S.add(20);
   EXPECT_NEAR(S.cov(), 5.0 / 15.0, 1e-12);
+}
+
+namespace {
+
+/// RunningStat::add as it was before its exact fast step: the plain
+/// Welford update on every sample. The reference the fast step must match
+/// bit for bit.
+struct WelfordReference {
+  uint64_t N = 0;
+  double Mean = 0.0, M2 = 0.0, Sum = 0.0;
+  double Max = -std::numeric_limits<double>::infinity();
+  double Min = std::numeric_limits<double>::infinity();
+
+  void add(double X) {
+    ++N;
+    double Delta = X - Mean;
+    Mean += Delta / static_cast<double>(N);
+    M2 += Delta * (X - Mean);
+    if (X > Max)
+      Max = X;
+    if (X < Min)
+      Min = X;
+    Sum += X;
+  }
+};
+
+/// The bit pattern of \p X, with every NaN folded to one pattern: which
+/// NaN an operation on two NaN operands returns is up to the compiler's
+/// operand order (x86 returns the first), so only NaN-ness is portable.
+uint64_t bits(double X) {
+  return std::isnan(X) ? 0x7ff8000000000000ULL : std::bit_cast<uint64_t>(X);
+}
+
+/// Feeds \p Xs to both accumulators, starting from the same moments, and
+/// compares every field's bit pattern after every sample.
+void expectBitIdentical(const std::vector<double> &Xs, uint64_t N = 0,
+                        double Mean = 0.0, double M2 = 0.0, double Sum = 0.0,
+                        double Max = 0.0, double Min = 0.0) {
+  WelfordReference Ref;
+  RunningStat S;
+  if (N) {
+    Ref = {N, Mean, M2, Sum, Max, Min};
+    S = RunningStat::fromMoments(N, Mean, M2, Sum, Max, Min);
+  }
+  for (size_t I = 0; I < Xs.size(); ++I) {
+    Ref.add(Xs[I]);
+    S.add(Xs[I]);
+    std::string Ctx = "sample " + std::to_string(I) + " (" +
+                      std::to_string(Xs[I]) + ") from mean " +
+                      std::to_string(Mean);
+    ASSERT_EQ(S.count(), Ref.N) << Ctx;
+    ASSERT_EQ(bits(S.mean()), bits(Ref.Mean)) << Ctx;
+    ASSERT_EQ(bits(S.m2()), bits(Ref.M2)) << Ctx;
+    ASSERT_EQ(bits(S.sum()), bits(Ref.Sum)) << Ctx;
+    ASSERT_EQ(bits(S.max()), bits(Ref.Max)) << Ctx;
+    ASSERT_EQ(bits(S.min()), bits(Ref.Min)) << Ctx;
+  }
+}
+
+} // namespace
+
+TEST(RunningStat, FastStepIsBitIdenticalToWelford) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Den = std::numeric_limits<double>::denorm_min();
+  // Heavily repeated values, as call-loop edges produce them.
+  expectBitIdentical({7, 7, 7, 7, 7, 9, 7, 7, 7, 9, 9, 9, 7});
+  expectBitIdentical({1e15, 1e15, 1e15 + 1, 1e15, 1e15, 0.1, 0.1, 0.1});
+  expectBitIdentical({0.3, 0.3, 0.3, 0.1 + 0.2, 0.3, 0.3});
+  // Signed zeros, infinities, NaN and denormals, repeated.
+  expectBitIdentical({0.0, 0.0, -0.0, -0.0, 0.0, -0.0});
+  expectBitIdentical({-0.0, -0.0, 0.0, 0.0, -0.0});
+  expectBitIdentical({Inf, Inf, 1.0, 1.0});
+  expectBitIdentical({-Inf, -Inf, -Inf});
+  expectBitIdentical({NaN, NaN, 1.0, 1.0});
+  expectBitIdentical({Den, Den, Den, 2 * Den, Den, -Den, -Den});
+  expectBitIdentical({-3.0, -3.0, -3.0, -1.0, -1.0});
+  // Start states only deserialization reaches: a -0 mean, a -0 M2,
+  // infinite and NaN moments, negative and denormal means.
+  expectBitIdentical({0.0, -0.0, -0.0, 0.0}, 3, -0.0, 0.0, -0.0, -0.0, -0.0);
+  expectBitIdentical({-0.0, 0.0, 0.0}, 2, -0.0, -0.0, 0.0, 0.0, -0.0);
+  expectBitIdentical({2.0, 2.0, 3.0}, 4, 2.0, -0.0, 8.0, 2.0, 2.0);
+  expectBitIdentical({5.0, 5.0}, 2, 5.0, Inf, 10.0, 5.0, 5.0);
+  expectBitIdentical({5.0, 5.0}, 2, 5.0, NaN, 10.0, 5.0, 5.0);
+  expectBitIdentical({5.0, 5.0}, 2, 5.0, -1.0, 10.0, 5.0, 5.0);
+  expectBitIdentical({Inf, Inf}, 1, Inf, 0.0, Inf, Inf, Inf);
+  expectBitIdentical({NaN, 4.0}, 1, NaN, 0.0, 4.0, 4.0, 4.0);
+  expectBitIdentical({-6.0, -6.0}, 3, -6.0, 0.0, -18.0, -6.0, -6.0);
+  expectBitIdentical({Den, Den}, 5, Den, 0.0, 5 * Den, Den, Den);
+
+  // Random runs over a small palette: long stretches of repeats broken by
+  // the specials above.
+  const std::vector<double> Palette = {0.0,  -0.0, 1.0, 3.0,  1e300,
+                                       0.5,  Den,  Inf, -Inf, NaN,
+                                       12.0, 12.0, 12.0};
+  Rng R(2024);
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    std::vector<double> Xs;
+    while (Xs.size() < 64) {
+      double X = Palette[R.nextBelow(Palette.size())];
+      for (uint64_t K = 1 + R.nextBelow(8); K; --K)
+        Xs.push_back(X);
+    }
+    expectBitIdentical(Xs);
+  }
 }
 
 TEST(RunningStat, FromMomentsRoundTrip) {
