@@ -44,24 +44,17 @@ private:
 };
 
 /// Profiles \p B on \p In and returns the finalized call-loop graph.
-/// \p Bc, when non-null, selects the bytecode execution tier (byte-identical
-/// output; see vm/Bytecode.h).
 inline std::unique_ptr<CallLoopGraph>
 buildCallLoopGraph(const Binary &B, const LoopIndex &Loops,
                    const WorkloadInput &In,
-                   uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max(),
-                   const BytecodeModule *Bc = nullptr) {
+                   uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max()) {
   SPM_TRACE_SPAN("pipeline.build_graph");
   auto G = std::make_unique<CallLoopGraph>(B, Loops);
   CallLoopTracker Tracker(B, Loops, *G);
   Tracker.setProfileTarget(G.get());
 
   Interpreter Interp(B, In);
-  if (Bc) {
-    Interp.runBytecode(*Bc, Tracker, MaxInstrs);
-  } else {
-    Interp.runFast(Tracker, MaxInstrs);
-  }
+  Interp.runFast(Tracker, MaxInstrs);
   G->finalize();
   return G;
 }

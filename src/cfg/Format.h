@@ -13,7 +13,7 @@
 /// binary-level profiler recovers from a real executable. cfg/Import.h
 /// rebuilds the structure (dominators, natural loops, reducibility) and
 /// lowers the result into the mini-IR, so imported CFGs flow unchanged
-/// through every execution tier and the marker pipeline.
+/// through the interpreter and the marker pipeline.
 ///
 /// The format is strict: every malformed line or inconsistent graph fails
 /// the whole load with a named diagnostic of the form `cfg[<name>]: ...`,

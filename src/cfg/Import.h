@@ -11,8 +11,7 @@
 /// loops / nesting (cfg/Structure.h), rejects or node-splits irreducible
 /// regions, and rebuilds the statement tree the Builder would have
 /// produced — so imported programs lower through ir/Lowering.h and run
-/// unchanged on every execution tier and through the whole marker
-/// pipeline.
+/// unchanged through the interpreter and the whole marker pipeline.
 ///
 /// The structurer accepts exactly the shapes structured lowering emits:
 /// while-loops (header with one in-loop and one exit successor, single

@@ -39,39 +39,29 @@ struct MarkerRun {
 };
 
 /// Runs \p B on \p In with fixed-length intervals of \p Len instructions.
-/// \p Bc, when non-null, selects the bytecode execution tier — plain or
-/// fused (vm/Fusion.h); both produce byte-identical output, so callers
-/// pick the module, not the semantics (see vm/Bytecode.h).
 inline std::vector<IntervalRecord>
 runFixedIntervals(const Binary &B, const WorkloadInput &In, uint64_t Len,
                   bool CollectBbv,
                   uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max(),
-                  const PerfModelOptions &PerfOpts = PerfModelOptions(),
-                  const BytecodeModule *Bc = nullptr) {
+                  const PerfModelOptions &PerfOpts = PerfModelOptions()) {
   SPM_TRACE_SPAN("pipeline.fixed_intervals");
   PerfModel Perf(PerfOpts);
   IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf, CollectBbv);
   StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
   Interpreter Interp(B, In);
-  if (Bc)
-    Interp.runBytecode(*Bc, Mux, MaxInstrs);
-  else
-    Interp.runFast(Mux, MaxInstrs);
+  Interp.runFast(Mux, MaxInstrs);
   return Ivb.takeIntervals();
 }
 
 /// Runs \p B on \p In with the markers of \p M cutting variable-length
-/// intervals. \p G and \p Loops must belong to \p B. \p Bc, when non-null,
-/// selects the bytecode execution tier, plain or fused (byte-identical
-/// output either way).
+/// intervals. \p G and \p Loops must belong to \p B.
 inline MarkerRun
 runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
                    const WorkloadInput &In, bool CollectBbv,
                    bool RecordFirings = false,
                    uint64_t MaxInstrs = std::numeric_limits<uint64_t>::max(),
-                   const PerfModelOptions &PerfOpts = PerfModelOptions(),
-                   const BytecodeModule *Bc = nullptr) {
+                   const PerfModelOptions &PerfOpts = PerfModelOptions()) {
   SPM_TRACE_SPAN("pipeline.marker_intervals");
   MarkerRun Out;
   PerfModel Perf(PerfOpts);
@@ -91,8 +81,7 @@ runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
   StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(Tracker, Ivb,
                                                              Perf);
   Interpreter Interp(B, In);
-  Out.Run = Bc ? Interp.runBytecode(*Bc, Mux, MaxInstrs)
-               : Interp.runFast(Mux, MaxInstrs);
+  Out.Run = Interp.runFast(Mux, MaxInstrs);
   Out.Intervals = Ivb.takeIntervals();
   return Out;
 }
@@ -104,14 +93,9 @@ runMarkerIntervals(const Binary &B, const LoopIndex &Loops,
 /// count — slot I is always input I's graph.
 inline std::vector<std::unique_ptr<CallLoopGraph>>
 buildCallLoopGraphs(const Binary &B, const LoopIndex &Loops,
-                    const std::vector<const WorkloadInput *> &Inputs,
-                    const BytecodeModule *Bc = nullptr) {
+                    const std::vector<const WorkloadInput *> &Inputs) {
   return parallelMap(Inputs.size(), [&](size_t I) {
-    // A BytecodeModule is immutable after compilation (and fusion), so one
-    // module may back all concurrent runs; its verification memo makes the
-    // per-run verify a single atomic load after the first.
-    return buildCallLoopGraph(B, Loops, *Inputs[I],
-                              std::numeric_limits<uint64_t>::max(), Bc);
+    return buildCallLoopGraph(B, Loops, *Inputs[I]);
   });
 }
 

@@ -85,21 +85,16 @@ std::string PhaseStats::toText() const {
       .cell("instrs")
       .cell("blocks")
       .cell("mem")
-      .cell("wall_ms")
       .cell("cpi")
       .cell("cpi_cov")
       .cell("len_cov");
   for (const auto &[Id, A] : Phases) {
-    char Wall[32];
-    std::snprintf(Wall, sizeof(Wall), "%.3f",
-                  static_cast<double>(A.WallNs) / 1e6);
     T.row()
         .cell(std::to_string(Id))
         .cell(std::to_string(A.Intervals))
         .cell(std::to_string(A.Instrs))
         .cell(std::to_string(A.Blocks))
         .cell(std::to_string(A.Mem))
-        .cell(Wall)
         .cell(fmtDouble(A.Cpi.mean()))
         .cell(fmtDouble(A.Cpi.cov()))
         .cell(fmtDouble(A.Len.cov()));

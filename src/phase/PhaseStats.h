@@ -14,8 +14,8 @@
 ///
 /// The integer totals obey an exactness invariant the differential suite
 /// pins (tests/attribution_test.cpp): summed across phases they equal the
-/// run's global counters, bit-exact on every execution tier and however
-/// many checkpoint segments the run was split into.
+/// run's global counters, bit-exact however many checkpoint segments the
+/// run was split into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +77,9 @@ public:
   /// See docs/FORMATS.md ("Per-phase attribution JSONL").
   std::string toJsonl() const;
 
-  /// Aligned human-readable table of the same rollup.
+  /// Aligned human-readable table of the same rollup, minus wall time: the
+  /// table is a deterministic function of the run, so two reports compare
+  /// with cmp(1). Host time stays in the JSONL and the trace phase track.
   std::string toText() const;
 
 private:

@@ -21,7 +21,6 @@ const std::vector<std::string> &failpointSeamNames() {
   // One name per SPM_FAILPOINT / failpointEval site. Keep sorted; the
   // kill-at-every-seam fuzz and docs/robustness.md mirror this list.
   static const std::vector<std::string> Names = {
-      "bc.verify",     // BytecodeModule::verify (vm/Bytecode.cpp)
       "bench.write",   // bench JSON emit (tools/spm_tool.cpp)
       "cfg.import",    // importCfg (cfg/Import.cpp)
       "ckpt.read",     // parseCheckpoint (markers/Checkpoint.cpp)

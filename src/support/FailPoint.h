@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Named failpoints for deterministic fault injection at the durability
-/// seams (checkpoint serialize/write/read, bytecode verification, CFG
-/// import, and every spm_tool file writer). The fault fuzz suite
+/// seams (checkpoint serialize/write/read, CFG import, and every spm_tool
+/// file writer). The fault fuzz suite
 /// (tests/faultfuzz_test.cpp, ctest label "fault") arms them to prove
 /// crash-then-resume reproduces uninterrupted runs byte-for-byte;
 /// docs/robustness.md is the contract.

@@ -25,15 +25,12 @@
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/Trace.h"
-#include "vm/Bytecode.h"
 #include "vm/Checkpoint.h"
 #include "vm/Observer.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace spm {
@@ -64,12 +61,12 @@ inline void recordRunMetrics(const char *RunCounter, const RunResult &R) {
 
 } // namespace vm_detail
 
-/// The interpreter's one emitter: the exec tree and the bytecode loop hand
-/// every event to it, and it dispatches the event into \p ObsT at once,
-/// unbuffered (see the dispatch helpers in vm/Observer.h). When \p ObsT has
-/// an onMemRun handler, each MemAccessSpec's accesses are staged in a small
-/// reused buffer and delivered as one bulk record; otherwise each address
-/// is dispatched as it is generated.
+/// The interpreter's one emitter: the exec tree hands every event to it,
+/// and it dispatches the event into \p ObsT at once, unbuffered (see the
+/// dispatch helpers in vm/Observer.h). When \p ObsT has an onMemRun
+/// handler, each MemAccessSpec's accesses are staged in a small reused
+/// buffer and delivered as one bulk record; otherwise each address is
+/// dispatched as it is generated.
 template <class ObsT> struct StaticEmitter {
   static constexpr bool BulkMem = ObserverTraits<ObsT>::OwnMemRun;
 
@@ -146,31 +143,6 @@ public:
     return Result;
   }
 
-  /// Bytecode engine: dispatches a compiled module with a flat PC loop
-  /// instead of the exec-tree walk, emitting through the same StaticEmitter
-  /// so any runFast-compatible observer works unchanged. The event stream
-  /// is byte-identical to run()/runFast() by construction — identical visit
-  /// order, RNG-draw order, and per-site cursor usage. \p M must have been
-  /// compiled from this interpreter's binary; a module that fails verify()
-  /// is rejected with std::invalid_argument before any event is emitted.
-  template <class ObsT>
-  RunResult runBytecode(const BytecodeModule &M, ObsT &Obs,
-                        uint64_t MaxInstrsIn =
-                            std::numeric_limits<uint64_t>::max()) {
-    SPM_TRACE_SPAN("vm.runBytecode");
-    requireVerified(M);
-    MaxInstrs = MaxInstrsIn;
-    Result = RunResult();
-    dispatchRunStart(Obs, B, In);
-    StaticEmitter<ObsT> E{Obs};
-    BcExecState St;
-    St.Pc = M.Funcs[0].EntryPc;
-    bcDispatchT(M, E, St);
-    dispatchRunEnd(Obs, Result.TotalInstrs);
-    vm_detail::recordRunMetrics("vm.runs_bytecode", Result);
-    return Result;
-  }
-
   //===--------------------------------------------------------------------===//
   // Resumable segments (checkpoint/resume; see docs/checkpoint.md).
   //
@@ -204,22 +176,6 @@ public:
   /// run().
   RunResult runSegment(ExecutionObserver &Obs, const InterpCheckpoint *From,
                        uint64_t UntilInstrs, InterpCheckpoint *Out = nullptr);
-
-  /// Bytecode segment (same contract as runFastSegment). Safepoints sit at
-  /// block boundaries: a suspension maps the bytecode PC plus the runtime
-  /// loop/call stacks back to the exact ResumeFrame stack the tree walk
-  /// would capture, so checkpoints are interchangeable between tiers — a
-  /// segment suspended here resumes under runFastSegment/runSegment and
-  /// vice versa, with the concatenated streams byte-identical.
-  template <class ObsT>
-  RunResult runBytecodeSegment(const BytecodeModule &M, ObsT &Obs,
-                               const InterpCheckpoint *From,
-                               uint64_t UntilInstrs,
-                               InterpCheckpoint *Out = nullptr) {
-    requireVerified(M);
-    StaticEmitter<ObsT> E{Obs};
-    return bcSegmentT(M, E, From, UntilInstrs, Out);
-  }
 
   /// Resolved byte size of region \p Idx under the constructor's input.
   uint64_t regionSize(uint32_t Idx) const {
@@ -275,55 +231,8 @@ private:
   RunResult segmentT(Emit &E, const InterpCheckpoint *From,
                      uint64_t UntilInstrs, InterpCheckpoint *Out);
 
-  // Bytecode tier: the flat dispatch loop and its segment driver. Both
-  // reuse execBlockT/evalTrip/evalCond/chooseCallee so the event stream and
-  // RNG draw sequence cannot drift from the tree engines.
-  /// Rejects modules that fail verify() with std::invalid_argument; the
-  /// dispatch loop itself does no bounds checks. Verification is memoized
-  /// per (module, binary): segment chains re-enter runBytecodeSegment once
-  /// per segment, and without the memo each segment would pay the full
-  /// O(module) structural walk (plus, for fused modules, the
-  /// canonical-fusion recompute). A hit is one acquire load.
-  void requireVerified(const BytecodeModule &M) const {
-    if (M.Verified.V.load(std::memory_order_acquire) == &B)
-      return;
-    std::string Err;
-    if (!M.verify(B, &Err))
-      throw std::invalid_argument("bytecode module rejected: " + Err);
-    M.Verified.V.store(&B, std::memory_order_release);
-  }
-  /// Dispatches from St until completion (true) or budget exhaustion
-  /// (false, St suspended at the boundary Block op).
-  template <class Emit>
-  bool bcDispatchT(const BytecodeModule &M, Emit &E, BcExecState &St);
-  template <class Emit>
-  RunResult bcSegmentT(const BytecodeModule &M, Emit &E,
-                       const InterpCheckpoint *From, uint64_t UntilInstrs,
-                       InterpCheckpoint *Out);
-  /// Replays one precompiled event tape (fused module): emits the block /
-  /// back-branch sequence with Rep bodies replayed trip-count times, then
-  /// books the tape's precomputed totals and — when the emitter ignores
-  /// memory events — applies the bulk per-site cursor advances. The caller
-  /// (the Tape dispatch case) has already proven the remaining instruction
-  /// budget strictly exceeds the tape's total, so no suspension can occur
-  /// inside a replay. Kept out of line on purpose: with a heavyweight
-  /// observer inlined into both the dispatch handlers and the replay loop
-  /// the combined body overflows the instruction cache — the call runs
-  /// once per tape, so its overhead is amortized over the whole fragment.
-  template <class Emit>
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((noinline))
-#endif
-  void
-  bcReplayTapeT(const BytecodeModule &M, const BcTape &T, Emit &E);
-  /// Books a replayed tape's precomputed totals and — unless the replay
-  /// already emitted (and thereby advanced) the memory streams — applies
-  /// the bulk per-site cursor skips.
-  void bcFinishTape(const BytecodeModule &M, const BcTape &T,
-                    bool EmittedMem);
-
-  /// Callee selection for a call site, shared verbatim by the tree and
-  /// bytecode engines (identical RNG draws and round-robin cursor use).
+  /// Callee selection for a call site (weighted RNG draw or round-robin
+  /// cursor).
   uint32_t chooseCallee(const std::vector<CallStmt::Candidate> &Cands,
                         bool RoundRobin, uint32_t RRSite) {
     if (Cands.size() == 1)
@@ -354,7 +263,7 @@ private:
   // reverses). All helpers return false so capture sites read
   // `return capX(...)`. Cost on the hot path is zero — these run only on
   // the rare budget-exhausted unwind, and not at all when Capture is null
-  // (run/runFast/runBytecode never set it).
+  // (run/runFast never set it).
   bool capFunc(uint32_t FuncId, uint8_t Step) {
     if (Capture)
       Capture->push_back(
@@ -394,8 +303,8 @@ private:
   template <class Emit> bool execBlockT(const LoweredBlock &Blk, Emit &E);
   /// Emits every memory run of \p Blk, one beginMemRun/endMemRun pair per
   /// MemAccessSpec, and returns the number of addresses emitted. The one
-  /// address formula of both tiers, with the per-run invariants (region
-  /// base, working-set size, slot count) hoisted out of the address loop.
+  /// address formula, with the per-run invariants (region base, working-set
+  /// size, slot count) hoisted out of the address loop.
   template <class Emit>
   uint64_t emitMemRunsT(const LoweredBlock &Blk, Emit &E);
   /// Advances all address-generation state (per-site cursors and counters)
@@ -425,22 +334,12 @@ private:
   std::vector<ResumeFrame> *Capture = nullptr;
   std::vector<ResumeFrame> CapturedFrames; ///< Scratch for the above.
 
-  /// One level of the tape replay loop's Rep-nesting stack.
-  struct BcRepState {
-    uint32_t Start = 0; ///< First entry of the repetition body.
-    uint32_t End = 0;   ///< One past the last entry of the body.
-    uint32_t Count = 0; ///< Constant trip count.
-    uint32_t Iter = 0;  ///< Current iteration, 0-based.
-  };
-  /// Scratch reused across tape replays so the hot path never allocates
-  /// once warm.
-  std::vector<BcRepState> TapeRepScratch;
 };
 
 //===----------------------------------------------------------------------===//
-// Exec tree (shared by all engines) — header-inline so every emitter
-// instantiation, including runFast's per-observer ones, compiles into its
-// caller with full inlining of the evaluators below.
+// Exec tree (shared by run, runFast and the segments) — header-inline so
+// every emitter instantiation, including runFast's per-observer ones,
+// compiles into its caller with full inlining of the evaluators below.
 //===----------------------------------------------------------------------===//
 
 inline void Interpreter::skipAccesses(const MemAccessSpec &M,
@@ -500,6 +399,69 @@ inline bool Interpreter::evalCond(const CondSpec &C, uint32_t Site) {
   }
   assert(false && "unknown condition kind");
   return false;
+}
+
+template <class Emit>
+uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
+  uint64_t Emitted = 0;
+  for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
+    const MemAccessSpec &Ms = Blk.MemOps[I];
+    const uint32_t Site = Blk.FirstMemSite + static_cast<uint32_t>(I);
+    const uint64_t Base = regionBase(Ms.RegionIdx);
+    const uint64_t Size = RegionSizes[Ms.RegionIdx];
+    // Active working set: the leading fraction of the region this site
+    // uses, never below one 64-byte line.
+    uint64_t WS = Size * Ms.WorkingSetFrac256 / 256;
+    if (WS < 64)
+      WS = 64;
+    const uint64_t Slots = WS / 8;
+    E.beginMemRun();
+    switch (Ms.Pat) {
+    case MemAccessSpec::Pattern::Sequential: {
+      // Walk the working set with Stride, wrapping.
+      uint64_t P = SeqPos[Site];
+      for (uint32_t C = 0; C < Ms.Count; ++C) {
+        E.memAddr(Base + (P % WS), Ms.IsStore);
+        P += Ms.Stride;
+      }
+      SeqPos[Site] = P;
+      break;
+    }
+    case MemAccessSpec::Pattern::Random: {
+      // Counter-based stream, mapped to [0, Slots) by fixed-point scaling:
+      // negligible bias for slot counts far below 2^64.
+      uint64_t S = RandState[Site];
+      for (uint32_t C = 0; C < Ms.Count; ++C) {
+        uint64_t Z = splitMix64(S += 0x9e3779b97f4a7c15ULL);
+        uint64_t Slot = static_cast<uint64_t>(
+            (static_cast<unsigned __int128>(Z) * Slots) >> 64);
+        E.memAddr(Base + Slot * 8, Ms.IsStore);
+      }
+      RandState[Site] = S;
+      break;
+    }
+    case MemAccessSpec::Pattern::Point: {
+      const uint64_t Addr = Base + (Ms.Offset % Size);
+      for (uint32_t C = 0; C < Ms.Count; ++C)
+        E.memAddr(Addr, Ms.IsStore);
+      break;
+    }
+    case MemAccessSpec::Pattern::Chase: {
+      // Dependent random walk with a per-site LCG so the chain is
+      // reproducible and independent of the shared random stream.
+      uint64_t S = ChaseState[Site];
+      for (uint32_t C = 0; C < Ms.Count; ++C) {
+        S = S * 6364136223846793005ULL + 1442695040888963407ULL;
+        E.memAddr(Base + ((S >> 11) % Slots) * 8, Ms.IsStore);
+      }
+      ChaseState[Site] = S;
+      break;
+    }
+    }
+    E.endMemRun(Ms.IsStore);
+    Emitted += Ms.Count;
+  }
+  return Emitted;
 }
 
 template <class Emit>
@@ -792,407 +754,6 @@ RunResult Interpreter::segmentT(Emit &E, const InterpCheckpoint *From,
     }
   }
   Capture = nullptr;
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Bytecode tier dispatch loop and segment driver
-//===----------------------------------------------------------------------===//
-
-/// Threaded dispatch: on GCC/Clang the dispatch loop uses computed-goto
-/// opcode threading — each handler jumps straight to the next op's handler
-/// through a label table, giving every opcode its own indirect-branch site
-/// (better branch prediction than one shared switch branch) and removing
-/// the switch's range check. Everywhere else a portable for/switch loop
-/// compiles from the same handler bodies. Both forms are byte-identical in
-/// behavior; the generative fuzz suite runs against whichever the compiler
-/// selected.
-#if defined(__GNUC__) || defined(__clang__)
-#define SPM_BC_THREADED_DISPATCH 1
-#else
-#define SPM_BC_THREADED_DISPATCH 0
-#endif
-
-template <class Emit>
-uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
-  uint64_t Emitted = 0;
-  for (size_t I = 0; I < Blk.MemOps.size(); ++I) {
-    const MemAccessSpec &Ms = Blk.MemOps[I];
-    const uint32_t Site = Blk.FirstMemSite + static_cast<uint32_t>(I);
-    const uint64_t Base = regionBase(Ms.RegionIdx);
-    const uint64_t Size = RegionSizes[Ms.RegionIdx];
-    // Active working set: the leading fraction of the region this site
-    // uses, never below one 64-byte line.
-    uint64_t WS = Size * Ms.WorkingSetFrac256 / 256;
-    if (WS < 64)
-      WS = 64;
-    const uint64_t Slots = WS / 8;
-    E.beginMemRun();
-    switch (Ms.Pat) {
-    case MemAccessSpec::Pattern::Sequential: {
-      // Walk the working set with Stride, wrapping.
-      uint64_t P = SeqPos[Site];
-      for (uint32_t C = 0; C < Ms.Count; ++C) {
-        E.memAddr(Base + (P % WS), Ms.IsStore);
-        P += Ms.Stride;
-      }
-      SeqPos[Site] = P;
-      break;
-    }
-    case MemAccessSpec::Pattern::Random: {
-      // Counter-based stream, mapped to [0, Slots) by fixed-point scaling:
-      // negligible bias for slot counts far below 2^64.
-      uint64_t S = RandState[Site];
-      for (uint32_t C = 0; C < Ms.Count; ++C) {
-        uint64_t Z = splitMix64(S += 0x9e3779b97f4a7c15ULL);
-        uint64_t Slot = static_cast<uint64_t>(
-            (static_cast<unsigned __int128>(Z) * Slots) >> 64);
-        E.memAddr(Base + Slot * 8, Ms.IsStore);
-      }
-      RandState[Site] = S;
-      break;
-    }
-    case MemAccessSpec::Pattern::Point: {
-      const uint64_t Addr = Base + (Ms.Offset % Size);
-      for (uint32_t C = 0; C < Ms.Count; ++C)
-        E.memAddr(Addr, Ms.IsStore);
-      break;
-    }
-    case MemAccessSpec::Pattern::Chase: {
-      // Dependent random walk with a per-site LCG so the chain is
-      // reproducible and independent of the shared random stream.
-      uint64_t S = ChaseState[Site];
-      for (uint32_t C = 0; C < Ms.Count; ++C) {
-        S = S * 6364136223846793005ULL + 1442695040888963407ULL;
-        E.memAddr(Base + ((S >> 11) % Slots) * 8, Ms.IsStore);
-      }
-      ChaseState[Site] = S;
-      break;
-    }
-    }
-    E.endMemRun(Ms.IsStore);
-    Emitted += Ms.Count;
-  }
-  return Emitted;
-}
-
-template <class Emit>
-void Interpreter::bcReplayTapeT(const BytecodeModule &M, const BcTape &T,
-                                Emit &E) {
-  const BcTapeEntryKind *K = M.TapeKinds.data();
-  const uint32_t *A = M.TapeA.data();
-  const uint32_t *Bd = M.TapeB.data();
-  std::vector<BcRepState> &RS = TapeRepScratch;
-  RS.clear();
-  // The innermost rep lives in locals whose address never escapes, so the
-  // compiler keeps it in registers across the (arbitrarily large) observer
-  // calls; outer reps spill to the scratch stack only on nesting. The
-  // whole tape runs as one synthetic outermost rep of count 1.
-  uint32_t I = T.First;
-  uint32_t RepStart = I, RepEnd = T.First + T.Count;
-  uint32_t RepCount = 1, RepIter = 0;
-  for (;;) {
-    if (I == RepEnd) {
-      if (++RepIter < RepCount) {
-        I = RepStart;
-        continue;
-      }
-      if (RS.empty())
-        break; // The synthetic outermost rep finished: tape done.
-      const BcRepState &P = RS.back();
-      RepStart = P.Start;
-      RepEnd = P.End;
-      RepCount = P.Count;
-      RepIter = P.Iter;
-      RS.pop_back();
-      continue;
-    }
-    switch (K[I]) {
-    case BcTapeEntryKind::Block: {
-      const LoweredBlock &Blk = B.block(A[I]);
-      E.block(Blk);
-      if (E.wantsMem())
-        emitMemRunsT(Blk, E);
-      ++I;
-      break;
-    }
-    case BcTapeEntryKind::Back: {
-      const BcTapeBranch &Br = M.TapeBranches[A[I]];
-      E.branch(Br.Pc, Br.Target, /*Taken=*/RepIter + 1 < RepCount,
-               /*Backward=*/true, /*Conditional=*/true);
-      ++I;
-      break;
-    }
-    case BcTapeEntryKind::Rep:
-      RS.push_back({RepStart, RepEnd, RepCount, RepIter});
-      RepStart = I + 1;
-      RepEnd = I + 1 + Bd[I];
-      RepCount = A[I];
-      RepIter = 0;
-      ++I;
-      break;
-    }
-  }
-  bcFinishTape(M, T, E.wantsMem());
-}
-
-inline void Interpreter::bcFinishTape(const BytecodeModule &M,
-                                      const BcTape &T, bool EmittedMem) {
-  if (!EmittedMem) {
-    // The whole tape's cursor traffic, one precomputed update per site.
-    for (uint32_t S = T.FirstSkip, SE = T.FirstSkip + T.NumSkips; S != SE;
-         ++S) {
-      const BcTapeSkip &Sk = M.TapeSkips[S];
-      switch (Sk.Pat) {
-      case MemAccessSpec::Pattern::Sequential:
-        SeqPos[Sk.Site] += Sk.A0;
-        break;
-      case MemAccessSpec::Pattern::Random:
-        RandState[Sk.Site] += Sk.A0;
-        break;
-      case MemAccessSpec::Pattern::Chase:
-        ChaseState[Sk.Site] = ChaseState[Sk.Site] * Sk.A0 + Sk.A1;
-        break;
-      case MemAccessSpec::Pattern::Point:
-        break;
-      }
-    }
-  }
-  Result.TotalInstrs += T.TotalInstrs;
-  Result.TotalBlocks += T.TotalBlocks;
-  Result.TotalMemAccesses += T.TotalMem;
-}
-
-template <class Emit>
-bool Interpreter::bcDispatchT(const BytecodeModule &M, Emit &E,
-                              BcExecState &St) {
-  const BcOp *Ops = M.fused() ? M.FusedOps.data() : M.Ops.data();
-  uint32_t Pc = St.Pc;
-
-  // Handler bodies are written once; the macros select computed-goto
-  // threading or the portable for/switch shell around them. Inside a
-  // handler, SPM_BC_DISPATCH() must only appear where a bare `break` would
-  // legally re-enter the switch shell (never inside a nested loop/switch).
-#if SPM_BC_THREADED_DISPATCH
-  // Table order must match BcOpcode's enumerator order exactly.
-  static const void *const Tbl[] = {
-      &&Bc_Block, &&Bc_LoopBegin, &&Bc_LoopBack, &&Bc_IfBegin,
-      &&Bc_Jump,  &&Bc_Call,      &&Bc_Ret,      &&Bc_Tape};
-#define SPM_BC_DISPATCH() goto *Tbl[static_cast<uint8_t>(Ops[Pc].Op)]
-#define SPM_BC_HANDLER(Name) Bc_##Name:
-  SPM_BC_DISPATCH();
-#else
-#define SPM_BC_DISPATCH() break
-#define SPM_BC_HANDLER(Name) case BcOpcode::Name:
-  for (;;) switch (Ops[Pc].Op) {
-#endif
-
-  SPM_BC_HANDLER(Block) {
-    const BcOp Op = Ops[Pc];
-    if (!execBlockT(B.block(Op.A), E)) {
-      St.Pc = Pc; // Suspend at the boundary block — the only safepoint.
-      return false;
-    }
-    ++Pc;
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(LoopBegin) {
-    const BcOp Op = Ops[Pc];
-    const BcPayload &P = M.Payloads[Op.A];
-    uint64_t Trip = evalTrip(P.Trip, P.TripSite);
-    if (Trip == 0) {
-      Pc = Op.B; // Zero-trip loops emit no events, exactly like the tree.
-    } else {
-      St.Loops.push_back({Trip, 0});
-      ++Pc;
-    }
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(LoopBack) {
-    const BcOp Op = Ops[Pc];
-    const BcPayload &P = M.Payloads[Op.A];
-    BcExecState::LoopEntry &L = St.Loops.back();
-    bool Taken = L.Iter + 1 < L.Trip;
-    // Cached at compile time (verified against the binary): the hot
-    // back-edge handler touches no LoweredBlock.
-    E.branch(P.LatchTermAddr, P.HeaderAddr, Taken, /*Backward=*/true,
-             /*Conditional=*/true);
-    if (Taken) {
-      ++L.Iter;
-      Pc = Op.B;
-    } else {
-      St.Loops.pop_back();
-      ++Pc;
-    }
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(IfBegin) {
-    const BcOp Op = Ops[Pc];
-    const BcPayload &P = M.Payloads[Op.A];
-    bool TakeThen = evalCond(P.Cond, P.CondSite);
-    // The lowered branch skips the then-part when the condition is false;
-    // both addresses are compile-time cached (verified).
-    E.branch(P.CondTermAddr, P.CondTargetAddr, /*Taken=*/!TakeThen,
-             /*Backward=*/false, /*Conditional=*/true);
-    Pc = TakeThen ? Pc + 1 : Op.B;
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(Jump) {
-    Pc = Ops[Pc].B;
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(Call) {
-    const BcOp Op = Ops[Pc];
-    const BcPayload &P = M.Payloads[Op.A];
-    // Draw order matches execCallTailT: probability gate first, then the
-    // depth cap (St.Calls.size() == the tree walk's Depth).
-    if (P.CallProb < 1.0 && !Rand.nextBool(P.CallProb)) {
-      ++Pc;
-      SPM_BC_DISPATCH();
-    }
-    if (St.Calls.size() + 1 >= MaxCallDepth) {
-      ++Pc; // Guarded-recursion depth cap; see class comment.
-      SPM_BC_DISPATCH();
-    }
-    uint32_t Callee = chooseCallee(P.Candidates, P.RoundRobin, P.RRSite);
-    E.call(P.SiteTermAddr, Callee);
-    St.Calls.push_back({Pc + 1, Callee, Op.B});
-    Pc = M.Funcs[Callee].EntryPc;
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(Ret) {
-    if (St.Calls.empty()) {
-      St.Pc = Pc;
-      return true; // Function 0 returned: program complete.
-    }
-    BcExecState::CallEntry C = St.Calls.back();
-    St.Calls.pop_back();
-    E.ret(C.Callee);
-    Pc = C.ReturnPc;
-    SPM_BC_DISPATCH();
-  }
-
-  SPM_BC_HANDLER(Tape) {
-    const BcOp Op = Ops[Pc];
-    const BcTape &T = M.Tapes[Op.A];
-    // Replay only when the remaining budget strictly exceeds the tape's
-    // total, so the unfused tier could not have suspended anywhere inside
-    // the covered span either (totals are monotone).
-    if (Result.TotalInstrs < MaxInstrs &&
-        MaxInstrs - Result.TotalInstrs > T.TotalInstrs) {
-      if (T.NumReps == 0) {
-        // Flat tape: Block entries only (Back/Rep exist only for fused
-        // loops), replayed inline — small tapes are frequent and an
-        // out-of-line call per 2-3 blocks would cost more than it saves.
-        const uint32_t *A = M.TapeA.data();
-        for (uint32_t I = T.First, IEnd = T.First + T.Count; I != IEnd;
-             ++I) {
-          const LoweredBlock &Blk = B.block(A[I]);
-          E.block(Blk);
-          if (E.wantsMem())
-            emitMemRunsT(Blk, E);
-        }
-        bcFinishTape(M, T, E.wantsMem());
-      } else {
-        bcReplayTapeT(M, T, E);
-      }
-      Pc = Op.B;
-      SPM_BC_DISPATCH();
-    }
-    // Budget too close: execute this pc's ORIGINAL op — the overlay keeps
-    // every non-tape-start pc byte-identical, so op-by-op execution through
-    // the covered span suspends on exactly the block the unfused tier
-    // would. Control re-entering the tape start re-takes the guard.
-    const BcOp Orig = M.Ops[Pc];
-    if (Orig.Op == BcOpcode::Block) {
-      if (!execBlockT(B.block(Orig.A), E)) {
-        St.Pc = Pc;
-        return false;
-      }
-      ++Pc;
-      SPM_BC_DISPATCH();
-    }
-    // A tape can only start at a Block or a constant-trip LoopBegin
-    // (verified); a constant trip draws nothing from the RNG.
-    const BcPayload &P = M.Payloads[Orig.A];
-    uint64_t Trip = evalTrip(P.Trip, P.TripSite);
-    if (Trip == 0) {
-      Pc = Orig.B;
-    } else {
-      St.Loops.push_back({Trip, 0});
-      ++Pc;
-    }
-    SPM_BC_DISPATCH();
-  }
-
-#if !SPM_BC_THREADED_DISPATCH
-  }
-#endif
-#undef SPM_BC_DISPATCH
-#undef SPM_BC_HANDLER
-
-  assert(false && "bytecode dispatch fell through");
-  return true;
-}
-
-template <class Emit>
-RunResult Interpreter::bcSegmentT(const BytecodeModule &M, Emit &E,
-                                  const InterpCheckpoint *From,
-                                  uint64_t UntilInstrs,
-                                  InterpCheckpoint *Out) {
-  SPM_TRACE_SPAN("vm.segment");
-  if (spmTraceEnabled())
-    metrics().counter("vm.segments").forceAdd(1);
-  MaxInstrs = UntilInstrs;
-  if (From)
-    restoreState(*From);
-  else
-    Result = RunResult();
-
-  bool Finished;
-  BcExecState St;
-  if (From && From->Finished) {
-    Finished = true;
-  } else if (From && !From->Frames.empty() &&
-             Result.TotalInstrs >= MaxInstrs) {
-    // Zero-length segment (boundary at or before the current position):
-    // the suspension point is unchanged.
-    Result.HitInstrLimit = true;
-    if (Out) {
-      snapshotState(*Out);
-      Out->Frames = From->Frames;
-      Out->Finished = false;
-    }
-    return Result;
-  } else {
-    if (From && !From->Frames.empty()) {
-      // The frames may come from either tier — resolve them to a PC plus
-      // runtime stacks. Decisions drawn before the boundary travel in the
-      // rebuilt stacks; the ops at the resume PC re-draw the rest from the
-      // restored RNG at the same position in the draw sequence.
-      std::string Err;
-      if (!resolveResumePoint(M, From->Frames, St, &Err))
-        throw std::invalid_argument(
-            "checkpoint does not address this bytecode module: " + Err);
-    } else {
-      St.Pc = M.Funcs[0].EntryPc;
-    }
-    Finished = bcDispatchT(M, E, St);
-  }
-
-  if (Out) {
-    snapshotState(*Out);
-    Out->Finished = Finished;
-    Out->Frames.clear();
-    if (!Finished)
-      captureResumeFrames(M, St, Out->Frames);
-  }
   return Result;
 }
 

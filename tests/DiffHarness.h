@@ -1,19 +1,19 @@
-//===- tests/DiffHarness.h - Shared cross-tier comparison helpers ---------===//
+//===- tests/DiffHarness.h - Shared run comparison helpers ----------------===//
 //
 // The one program-comparison toolkit for every differential suite: the
-// bytecode fuzz (bytecodefuzz_test.cpp) and the CFG import fuzz
-// (cfgfuzz_test.cpp) both drive generated programs through all four
-// execution tiers — tree walk, devirtualized runFast, plain bytecode,
-// fused bytecode — and assert byte-identical event streams, run totals,
-// interval records, and cache counters with these helpers. Keeping them
-// in one header means a new artifact comparison lands in every fuzz leg
-// at once instead of drifting per suite.
+// generated-program legs of shard_test.cpp and the CFG import fuzz
+// (cfgfuzz_test.cpp) drive programs through the virtual run() and the
+// devirtualized runFast, whole and cut into segment chains, and assert
+// byte-identical event streams, run totals, interval records, and cache
+// counters with these helpers. Keeping them in one header means a new
+// artifact comparison lands in every fuzz leg at once instead of drifting
+// per suite.
 //
 // It also holds the one serial segment chain every checkpoint suite uses
-// (shard_test, faultfuzz_test, bytecodefuzz_test, attribution_test): a run
-// cut at chosen instruction boundaries, each segment a fresh interpreter
-// and observer stack restored from the previous boundary's serialized
-// PipelineCheckpoint, on a chosen execution tier.
+// (shard_test, faultfuzz_test, attribution_test, cfgfuzz_test): a run cut
+// at chosen instruction boundaries, each segment a fresh interpreter and
+// observer stack restored from the previous boundary's serialized
+// PipelineCheckpoint.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +25,11 @@
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "trace/Interval.h"
-#include "vm/Bytecode.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,7 +90,7 @@ inline void expectSameMarkerRun(const MarkerRun &A, const MarkerRun &B,
 }
 
 /// Records the full event sequence, including addresses, for exact
-/// stream-identity comparisons across tiers.
+/// stream-identity comparisons.
 class RecordingObserver : public ExecutionObserver {
 public:
   struct Event {
@@ -130,57 +130,18 @@ public:
 /// Event-less observer for runs where only the checkpoint matters.
 struct NullObs {};
 
-/// Runs the full four-tier stream differential on one (program, input)
-/// pair: tree walk, devirtualized walk, plain bytecode, and fused
-/// bytecode (superops + tapes). The modules must be compiled and verified
-/// by the caller.
-inline void diffOneProgram(const Binary &B, const BytecodeModule &M,
-                           const BytecodeModule &F, const WorkloadInput &In,
+/// Runs the stream differential on one (program, input) pair: the virtual
+/// run() and the devirtualized runFast, each into a RecordingObserver, must
+/// agree on the run totals and on every event.
+inline void diffOneProgram(const Binary &B, const WorkloadInput &In,
                            const std::string &Ctx,
                            uint64_t Cap = FuzzCap) {
-  RecordingObserver Legacy, Fast, Bc, Fz;
+  RecordingObserver Legacy, Fast;
   RunResult R1 = Interpreter(B, In).run(Legacy, Cap);
   RunResult R2 = Interpreter(B, In).runFast(Fast, Cap);
-  RunResult R3 = Interpreter(B, In).runBytecode(M, Bc, Cap);
-  RunResult R4 = Interpreter(B, In).runBytecode(F, Fz, Cap);
   expectSameRun(R1, R2, Ctx + " (fast)");
-  expectSameRun(R1, R3, Ctx + " (bytecode)");
-  expectSameRun(R1, R4, Ctx + " (fused)");
-  ASSERT_EQ(Legacy.Events.size(), Bc.Events.size()) << Ctx;
-  ASSERT_EQ(Legacy.Events.size(), Fz.Events.size()) << Ctx;
+  ASSERT_EQ(Legacy.Events.size(), Fast.Events.size()) << Ctx;
   EXPECT_TRUE(Legacy.Events == Fast.Events) << Ctx << " (fast)";
-  EXPECT_TRUE(Legacy.Events == Bc.Events) << Ctx << " (bytecode)";
-  EXPECT_TRUE(Legacy.Events == Fz.Events) << Ctx << " (fused)";
-}
-
-/// Marker-pipeline identity across the three instrumented tiers (runFast,
-/// plain bytecode, fused bytecode): the profiled call-loop graph, selected
-/// markers, intervals, and firing traces must be byte-identical whichever
-/// tier drives the pipeline.
-inline void expectMarkerIdentity(const Binary &B, const BytecodeModule &M,
-                                 const BytecodeModule &F,
-                                 const WorkloadInput &In, uint64_t Cap,
-                                 const std::string &Ctx) {
-  LoopIndex Loops = LoopIndex::build(B);
-  auto GFast = buildCallLoopGraph(B, Loops, In, Cap);
-  auto GPlain = buildCallLoopGraph(B, Loops, In, Cap, &M);
-  auto GFused = buildCallLoopGraph(B, Loops, In, Cap, &F);
-  EXPECT_EQ(printGraph(*GFast), printGraph(*GPlain)) << Ctx << " (bytecode)";
-  EXPECT_EQ(printGraph(*GFast), printGraph(*GFused)) << Ctx << " (fused)";
-
-  SelectorConfig SC;
-  SC.ILower = 100;
-  SelectionResult Sel = selectMarkers(*GFast, SC);
-  MarkerRun Fast = runMarkerIntervals(B, Loops, *GFast, Sel.Markers, In,
-                                      true, true, Cap);
-  MarkerRun Plain =
-      runMarkerIntervals(B, Loops, *GFast, Sel.Markers, In, true, true, Cap,
-                         PerfModelOptions(), &M);
-  MarkerRun Fused =
-      runMarkerIntervals(B, Loops, *GFast, Sel.Markers, In, true, true, Cap,
-                         PerfModelOptions(), &F);
-  expectSameMarkerRun(Fast, Plain, Ctx + " (bytecode)");
-  expectSameMarkerRun(Fast, Fused, Ctx + " (fused)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -197,12 +158,10 @@ inline void expectMarkerIdentity(const Binary &B, const BytecodeModule &M,
 struct ChainStackBase {
   const Binary &B;
   const WorkloadInput &In;
-  const BytecodeModule *Bc; ///< Execution tier; null = the tree walk.
   Interpreter Interp;
 
-  ChainStackBase(const Binary &B, const WorkloadInput &In,
-                 const BytecodeModule *Bc)
-      : B(B), In(In), Bc(Bc), Interp(B, In) {}
+  ChainStackBase(const Binary &B, const WorkloadInput &In)
+      : B(B), In(In), Interp(B, In) {}
   ChainStackBase(const ChainStackBase &) = delete;
   ChainStackBase &operator=(const ChainStackBase &) = delete;
 };
@@ -220,8 +179,8 @@ struct MarkerStack : ChainStackBase {
 
   MarkerStack(const Binary &B, const LoopIndex &Loops, const CallLoopGraph &G,
               const MarkerSet &M, const WorkloadInput &In,
-              const BytecodeModule *Bc, bool CollectBbv = true)
-      : ChainStackBase(B, In, Bc),
+              bool CollectBbv = true)
+      : ChainStackBase(B, In),
         Ivb(IntervalBuilder::markerDriven(&Perf, CollectBbv)),
         Tracker(B, Loops, G), Runtime(M, G), Obs(Tracker, Ivb, Perf) {
     Tracker.addListener(&Runtime);
@@ -262,9 +221,9 @@ struct FixedStack : ChainStackBase {
   IntervalBuilder Ivb;
   StaticMux<IntervalBuilder, PerfModel> Obs;
 
-  FixedStack(const Binary &B, const WorkloadInput &In,
-             const BytecodeModule *Bc, uint64_t Len, bool CollectBbv = true)
-      : ChainStackBase(B, In, Bc),
+  FixedStack(const Binary &B, const WorkloadInput &In, uint64_t Len,
+             bool CollectBbv = true)
+      : ChainStackBase(B, In),
         Ivb(IntervalBuilder::fixedLength(Len, &Perf, CollectBbv)),
         Obs(Ivb, Perf) {}
   void save(PipelineCheckpoint &C) const {
@@ -292,8 +251,8 @@ struct GraphStack : ChainStackBase {
   CallLoopTracker Obs;
 
   GraphStack(const Binary &B, const LoopIndex &Loops, CallLoopGraph &G,
-             const WorkloadInput &In, const BytecodeModule *Bc)
-      : ChainStackBase(B, In, Bc), Obs(B, Loops, G) {
+             const WorkloadInput &In)
+      : ChainStackBase(B, In), Obs(B, Loops, G) {
     Obs.setProfileTarget(&G);
   }
   void save(PipelineCheckpoint &C) const {
@@ -306,14 +265,14 @@ struct GraphStack : ChainStackBase {
   void takeOutputs(MarkerRun &) {}
 };
 
-/// Runs one segment on the fresh stack \p S: from the run start when
-/// \p From is empty, else restored from the serialized checkpoint \p From
-/// (the `checkpoint resume` flow), up to \p Until instructions on the
-/// stack's tier. \p Last closes the run (onRunEnd) as an uninterrupted run
-/// does at its cap; an earlier segment closes it only when the program
-/// finished before the boundary. Appends the segment's outputs to \p Out,
-/// sets Out.Run to the cumulative totals, and returns the serialized
-/// boundary checkpoint (the `checkpoint save` flow; empty when \p Last).
+/// Runs one segment on the fresh stack \p S: from the run start when \p From is
+/// empty, else restored from the serialized checkpoint \p From (the `checkpoint
+/// resume` flow), up to \p Until instructions. \p Last closes the run
+/// (onRunEnd) as an uninterrupted run does at its cap; an earlier segment
+/// closes it only when the program finished before the boundary. Appends the
+/// segment's outputs to \p Out, sets Out.Run to the cumulative totals, and
+/// returns the serialized boundary checkpoint (the `checkpoint save` flow;
+/// empty when \p Last).
 template <class StackT>
 std::string runChainSegment(StackT &S, const std::string &From,
                             uint64_t Until, bool Last, MarkerRun &Out,
@@ -334,9 +293,7 @@ std::string runChainSegment(StackT &S, const std::string &From,
   const InterpCheckpoint *FromI = Prev ? &Prev->Interp : nullptr;
   PipelineCheckpoint C;
   InterpCheckpoint *OutI = Last ? nullptr : &C.Interp;
-  RunResult R =
-      S.Bc ? S.Interp.runBytecodeSegment(*S.Bc, S.Obs, FromI, Until, OutI)
-           : S.Interp.runFastSegment(S.Obs, FromI, Until, OutI);
+  RunResult R = S.Interp.runFastSegment(S.Obs, FromI, Until, OutI);
   bool Ended = FromI && FromI->Finished;
   if (!Ended && (Last || C.Interp.Finished))
     S.Obs.onRunEnd(R.TotalInstrs);
@@ -385,6 +342,52 @@ inline uint64_t runLength(const Binary &B, const WorkloadInput &In,
                           uint64_t Cap) {
   NullObs O;
   return Interpreter(B, In).runFast(O, Cap).TotalInstrs;
+}
+
+/// Fixed-interval identity across a segment cut: a 3-segment FixedStack
+/// chain must reproduce runFixedIntervals' records (BBVs and counters
+/// included) exactly.
+inline void expectFixedIdentity(const Binary &B, const WorkloadInput &In,
+                                uint64_t Len, uint64_t Cap,
+                                const std::string &Ctx) {
+  std::vector<IntervalRecord> Ref =
+      runFixedIntervals(B, In, Len, /*CollectBbv=*/true, Cap);
+  MarkerRun Got = runSegmentChain(
+      [&] { return std::make_unique<FixedStack>(B, In, Len); },
+      evenBoundaries(runLength(B, In, Cap), 3, Cap), Ctx + " fixed chain");
+  expectSameIntervals(Ref, Got.Intervals, Ctx + " (fixed chain)");
+}
+
+/// Marker-pipeline identity across a segment cut: the call-loop graph
+/// profiled through a 3-segment chain, and the marker intervals and firing
+/// trace of a 3-segment chain, must be byte-identical to the uninterrupted
+/// buildCallLoopGraph / runMarkerIntervals drivers.
+inline void expectMarkerIdentity(const Binary &B, const WorkloadInput &In,
+                                 uint64_t Cap, const std::string &Ctx) {
+  LoopIndex Loops = LoopIndex::build(B);
+  auto GRef = buildCallLoopGraph(B, Loops, In, Cap);
+  SelectorConfig SC;
+  SC.ILower = 100;
+  SelectionResult Sel = selectMarkers(*GRef, SC);
+  MarkerRun Ref = runMarkerIntervals(B, Loops, *GRef, Sel.Markers, In,
+                                     /*CollectBbv=*/true,
+                                     /*RecordFirings=*/true, Cap);
+  std::vector<uint64_t> Until = evenBoundaries(Ref.Run.TotalInstrs, 3, Cap);
+
+  CallLoopGraph G(B, Loops);
+  runSegmentChain(
+      [&] { return std::make_unique<GraphStack>(B, Loops, G, In); }, Until,
+      Ctx + " graph chain");
+  G.finalize();
+  EXPECT_EQ(printGraph(*GRef), printGraph(G)) << Ctx << " (graph chain)";
+
+  MarkerRun Got = runSegmentChain(
+      [&] {
+        return std::make_unique<MarkerStack>(B, Loops, *GRef, Sel.Markers,
+                                             In);
+      },
+      Until, Ctx + " marker chain");
+  expectSameMarkerRun(Ref, Got, Ctx + " (marker chain)");
 }
 
 } // namespace difftest

@@ -14,11 +14,10 @@
 // round-robin). Degenerate shapes appear on purpose: empty function bodies,
 // empty loop/if bodies, and deep nesting chains.
 //
-// A slice of the statement mix is fusion-adversarial: shapes that sit
-// exactly on superop/tape boundaries of the fused bytecode tier — zero-trip
-// constant loops wedged between fusable runs, frame-depth-cap saturation at
-// a superop edge, ungated recursion immediately after a fusable run, and
-// single-code-block functions (the minimal tape candidate).
+// A slice of the statement mix is edge-adversarial: zero-trip constant
+// loops wedged between straight-line runs, constant-trip nests saturating
+// the resume-frame depth, ungated recursion immediately after a
+// straight-line run, and single-code-block functions.
 //
 // Everything is a pure function of the seed, so a failing program is
 // reproducible from the test log alone.
@@ -62,7 +61,10 @@ public:
     ProgramBuilder PB("fuzz");
     NumRegions = 1 + static_cast<uint32_t>(R.nextBelow(3));
     for (uint32_t I = 0; I < NumRegions; ++I) {
-      std::string Name = "r" + std::to_string(I);
+      // Appended, not `"r" + std::to_string(I)`: GCC 12 at -O3 reports a
+      // false -Wrestrict on that operator+ once inlined.
+      std::string Name = "r";
+      Name += std::to_string(I);
       if (R.nextBool(0.25))
         PB.region(MemRegionSpec::param(Name, "bytes",
                                        1 + R.nextBelow(4)));
@@ -72,8 +74,11 @@ public:
     }
 
     NumFuncs = 1 + static_cast<uint32_t>(R.nextBelow(4));
-    for (uint32_t F = 0; F < NumFuncs; ++F)
-      PB.declare("f" + std::to_string(F));
+    for (uint32_t F = 0; F < NumFuncs; ++F) {
+      std::string Name = "f";
+      Name += std::to_string(F);
+      PB.declare(Name);
+    }
     for (uint32_t F = 0; F < NumFuncs; ++F) {
       PB.define(F, [&](FunctionBuilder &FB) {
         // ~1 in 10 functions has an entirely empty body (entry/exit blocks
@@ -144,40 +149,39 @@ private:
     } else if (Pick < 94) {
       callSite(FB, FuncId);
     } else {
-      fusionShape(FB, FuncId);
+      edgeShape(FB, FuncId);
     }
   }
 
-  /// Fusion-adversarial statements: each lands a construct exactly on a
-  /// superop/tape boundary of the fused bytecode tier.
-  void fusionShape(FunctionBuilder &FB, uint32_t FuncId) {
+  /// Edge-adversarial statements: degenerate constructs next to
+  /// straight-line code, where checkpoint boundaries and resume walks meet
+  /// their corner cases.
+  void edgeShape(FunctionBuilder &FB, uint32_t FuncId) {
     switch (R.nextBelow(4)) {
     case 0:
-      // Zero-trip constant loop wedged between two fusable code runs: the
-      // loop folds away inside one tape; its (never-run) body must not
-      // break the run on either side.
+      // Zero-trip constant loop wedged between two code runs: its
+      // (never-run) body must emit nothing and draw nothing.
       code(FB);
       FB.loop(TripCountSpec::constant(0),
               [&] { stmtList(FB, FuncId, /*Depth=*/3, 2); });
       code(FB);
       break;
     case 1:
-      // Constant-trip nest saturating the frame-path depth with fusable
-      // code on both sides: capture/resume paths of maximal depth begin
-      // and end at superop boundaries.
+      // Constant-trip nest saturating the frame-path depth with code on
+      // both sides: capture/resume paths of maximal depth.
       code(FB);
       deepChain(FB, 7 + static_cast<uint32_t>(R.nextBelow(3)));
       code(FB);
       break;
     case 2:
-      // Ungated self-recursion immediately after a fusable run: the tape
-      // ends at the call op and MaxCallDepth saturates at its boundary.
+      // Ungated self-recursion immediately after a code run: MaxCallDepth
+      // saturates right behind it.
       code(FB);
       FB.callIf(FuncId, 1.0);
       break;
     default:
-      // Constant loop over a single code block: the minimal Rep-entry
-      // tape, including the degenerate trip-1 rep.
+      // Constant loop over a single code block, including the degenerate
+      // trip-1 loop.
       FB.loop(TripCountSpec::constant(1 + R.nextBelow(3)),
               [&] { code(FB); });
       break;

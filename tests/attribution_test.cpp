@@ -4,8 +4,7 @@
 //
 //   1. Exactness: summed across phases, PhaseStats' instruction, dynamic
 //      block, and memory-access totals equal the run's own global counters —
-//      on every execution tier (tree walk, plain bytecode, superop-fused
-//      tapes), whole or cut into checkpointed segments, bit for bit.
+//      whole or cut into checkpointed segments, bit for bit.
 //   2. Export shape: the per-phase JSONL carries one object per phase.
 //   3. The crash-time flight recorder: a run killed by an injected fault
 //      leaves <out>.crash.json behind, valid JSON, naming the seam that
@@ -23,8 +22,6 @@
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
-#include "vm/Bytecode.h"
-#include "vm/Fusion.h"
 #include "workloads/Workloads.h"
 
 #include "DiffHarness.h"
@@ -81,7 +78,7 @@ PipelineCase makeCase(const std::string &Name) {
 /// Canonical string of the attribution's deterministic content: per phase
 /// the interval count and integer totals. WallNs is host time and PerfAgg
 /// CPI moments follow from the counters, so this is the full byte-compare
-/// surface for cross-tier/cross-segment identity.
+/// surface for cross-segment identity.
 std::string dumpAttribution(const PhaseStats &PS) {
   std::string Out;
   char Buf[160];
@@ -97,48 +94,34 @@ std::string dumpAttribution(const PhaseStats &PS) {
   return Out;
 }
 
-/// One tier/segment configuration of a marker run.
+/// One segment-count configuration of a marker run.
 struct RunConfig {
   const char *Label;
-  bool Bytecode;
-  bool Fuse;
   unsigned Segments;
 };
 
 /// One segment runs the production driver; more run the serial segment
 /// chain (DiffHarness.h) cut at even boundaries.
 MarkerRun runConfigured(const PipelineCase &C, const RunConfig &Cfg) {
-  std::unique_ptr<BytecodeModule> Bc;
-  if (Cfg.Bytecode) {
-    BytecodeModule M = compileBytecode(*C.B);
-    if (Cfg.Fuse)
-      M = fuseBytecode(*C.B, std::move(M));
-    Bc = std::make_unique<BytecodeModule>(std::move(M));
-  }
   if (Cfg.Segments == 1)
     return runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
                               /*CollectBbv=*/false, /*RecordFirings=*/false,
-                              Cap, PerfModelOptions(), Bc.get());
+                              Cap);
   return difftest::runSegmentChain(
       [&] {
         return std::make_unique<difftest::MarkerStack>(
-            *C.B, C.Loops, *C.G, C.Markers, C.W.Ref, Bc.get(),
-            /*CollectBbv=*/false);
+            *C.B, C.Loops, *C.G, C.Markers, C.W.Ref, /*CollectBbv=*/false);
       },
       difftest::evenBoundaries(difftest::runLength(*C.B, C.W.Ref, Cap),
                                Cfg.Segments, Cap),
       Cfg.Label);
 }
 
-const RunConfig AllConfigs[] = {
-    {"tree/1", false, false, 1},      {"tree/3", false, false, 3},
-    {"bytecode/1", true, false, 1},   {"bytecode/3", true, false, 3},
-    {"fused/1", true, true, 1},       {"fused/3", true, true, 3},
-};
+const RunConfig AllConfigs[] = {{"whole", 1}, {"segments/3", 3}};
 
 //===----------------------------------------------------------------------===//
-// Exactness: per-phase sums equal global counters on every tier and segment
-// count, and the attribution is bit-identical across all of them.
+// Exactness: per-phase sums equal global counters at every segment count,
+// and the attribution is bit-identical across all of them.
 //===----------------------------------------------------------------------===//
 
 class AttributionExact : public ::testing::TestWithParam<const char *> {};

@@ -476,7 +476,7 @@ struct StreamStack : difftest::ChainStackBase {
 
   StreamStack(const Binary &B, const LoopIndex &Loops, CallLoopGraph &G,
               const WorkloadInput &In, std::vector<StreamEvent> &Events)
-      : ChainStackBase(B, In, nullptr), Obs(B, Loops, G) {
+      : ChainStackBase(B, In), Obs(B, Loops, G) {
     Obs.setProfileTarget(&G);
     Rec.Events = &Events;
     Obs.addListener(&Rec);

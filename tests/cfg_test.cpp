@@ -4,15 +4,15 @@
 // with Code Structure Analysis" (CGO 2006).
 //
 // The hand-checked half of the CFG importer suite (cfgfuzz_test.cpp is the
-// generative half): a worked two-level loop nest whose recovered loop
-// forest, marker intervals, and event streams are pinned across all four
-// execution tiers; the curated-workload round-trip property (IR -> dump ->
-// re-import -> byte-identical dumps and marker artifacts); the negative
-// parse suite (every parse diagnostic by name); the structural negative
-// suite (every recovery diagnostic by name, including the irreducible
-// rejection listing the stuck blocks); and the node-splitting positive
-// (the worked irreducible example legalizes into exactly one loop with two
-// cloned blocks and still runs identically on every tier).
+// generative half): a worked two-level loop nest whose recovered loop forest,
+// marker intervals, and event streams are pinned across run() and runFast,
+// whole and cut into segment chains; the curated-workload round-trip property
+// (IR -> dump -> re-import -> byte-identical dumps and marker artifacts); the
+// negative parse suite (every parse diagnostic by name); the structural
+// negative suite (every recovery diagnostic by name, including the irreducible
+// rejection listing the stuck blocks); and the node-splitting positive (the
+// worked irreducible example legalizes into exactly one loop with two cloned
+// blocks and still runs identically under run() and runFast).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "ir/Lowering.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
-#include "vm/Fusion.h"
 #include "workloads/Workloads.h"
 
 #include "DiffHarness.h"
@@ -146,25 +145,14 @@ TEST(CfgImport, LoopNestRecovery) {
   EXPECT_EQ(Loops.size(), 2u);
 }
 
-TEST(CfgImport, LoopNestIdenticalAcrossTiers) {
+TEST(CfgImport, LoopNestIdenticalWholeAndSegmented) {
   ImportedProgram IP = importOrDie(LoopNest);
   std::unique_ptr<Binary> B = lower(*IP.Program, LoweringOptions::O2());
-  BytecodeModule M = compileBytecode(*B);
-  BytecodeModule F = fuseBytecode(*B, compileBytecode(*B));
   WorkloadInput In("loopnest", 7);
   In.set("n", 50);
-  diffOneProgram(*B, M, F, In, "loopnest");
-
-  std::vector<IntervalRecord> Fast =
-      runFixedIntervals(*B, In, 64, true, FuzzCap);
-  std::vector<IntervalRecord> Plain = runFixedIntervals(
-      *B, In, 64, true, FuzzCap, PerfModelOptions(), &M);
-  std::vector<IntervalRecord> Fused = runFixedIntervals(
-      *B, In, 64, true, FuzzCap, PerfModelOptions(), &F);
-  expectSameIntervals(Fast, Plain, "loopnest fixed (bytecode)");
-  expectSameIntervals(Fast, Fused, "loopnest fixed (fused)");
-
-  expectMarkerIdentity(*B, M, F, In, FuzzCap, "loopnest markers");
+  diffOneProgram(*B, In, "loopnest");
+  expectFixedIdentity(*B, In, 64, FuzzCap, "loopnest");
+  expectMarkerIdentity(*B, In, FuzzCap, "loopnest markers");
 }
 
 TEST(CfgImport, LoopNestDumpRoundTrip) {
@@ -389,10 +377,8 @@ TEST(CfgStructure, NodeSplittingLegalizesIrreducible) {
             "  loop header 2 latch 4 trip const:4\n");
 
   std::unique_ptr<Binary> B = lower(*IP.Program, LoweringOptions::O2());
-  BytecodeModule M = compileBytecode(*B);
-  BytecodeModule F = fuseBytecode(*B, compileBytecode(*B));
   WorkloadInput In("irr", 11);
-  diffOneProgram(*B, M, F, In, "irr-split");
+  diffOneProgram(*B, In, "irr-split");
 }
 
 } // namespace

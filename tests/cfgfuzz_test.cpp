@@ -6,23 +6,24 @@
 // The fleet-scale half of the CFG importer suite: hundreds of procedurally
 // generated spm-cfg graphs (tests/CfgGen.h — shuffled sections, non-dense
 // ids, degenerate shapes) are parsed, imported, lowered, and driven through
-// every execution tier. The legs:
+// the interpreter, whole and in segments. The legs:
 //
-//  * Event-stream differential: each imported program runs on all four
-//    tiers (tree walk, runFast, plain bytecode, fused bytecode) with
-//    byte-identical event streams and run totals.
+//  * Event-stream differential: each imported program runs under the
+//    virtual run() and the devirtualized runFast with byte-identical event
+//    streams and run totals.
 //  * Artifact differential: the call-loop graph dump, fixed-interval
-//    records, marker intervals, and marker firing traces agree across the
-//    instrumented tiers.
-//  * Cross-tier checkpoint rotation: each program is re-run as randomly
-//    split segments hopping fused -> tree -> plain at every boundary, and
-//    the chained event stream must equal the straight fused run.
+//    records, marker intervals, and marker firing traces of a 3-segment
+//    chain agree with the uninterrupted drivers.
+//  * Checkpoint rotation: each program is re-run as randomly split
+//    segments alternating runFastSegment and the virtual runSegment at
+//    every boundary, and the chained event stream must equal the straight
+//    runFast run.
 //  * Dump fixpoint: import -> lower -> dump stabilizes after one round
 //    (the canonical dump re-imports to the byte-identical dump).
 //  * Irreducible injection: graphs with a second loop entry are rejected
 //    with cfg[irreducible] by default and legalized by node splitting when
-//    enabled, after which the split program passes the four-tier
-//    differential too.
+//    enabled, after which the split program passes the stream differential
+//    too.
 //
 // Every graph and input is a pure function of the loop indices, so any
 // failure is reproducible from the test log alone.
@@ -32,7 +33,6 @@
 #include "cfg/Format.h"
 #include "cfg/Import.h"
 #include "ir/Lowering.h"
-#include "vm/Fusion.h"
 
 #include "CfgGen.h"
 #include "DiffHarness.h"
@@ -72,61 +72,47 @@ ImportedProgram importGenerated(uint64_t Seed,
   return std::move(*IP);
 }
 
-// Four-tier event-stream differential over the full fleet, two inputs per
-// graph so parameter-driven trip counts vary too.
+// Event-stream differential over the full fleet, two inputs per graph so
+// parameter-driven trip counts vary too.
 TEST(CfgFuzz, EventStreamDifferential) {
   for (uint64_t Seed = 0; Seed < NumGraphs; ++Seed) {
     ImportedProgram IP = importGenerated(Seed);
     auto B = lower(*IP.Program, LoweringOptions::O2());
-    BytecodeModule M = compileBytecode(*B);
-    BytecodeModule F = fuseBytecode(*B, M);
     for (uint64_t K = 0; K < 2; ++K) {
       WorkloadInput In = irgen::makeInput(Seed * 2 + K);
-      diffOneProgram(*B, M, F, In,
+      diffOneProgram(*B, In,
                      "cfg seed " + std::to_string(Seed) + " input " +
                          std::to_string(K));
     }
   }
 }
 
-// Graph dumps, fixed intervals, marker intervals, and firing traces across
-// the instrumented tiers.
+// Graph dumps, fixed intervals, marker intervals, and firing traces of a
+// 3-segment chain against the uninterrupted drivers.
 TEST(CfgFuzz, ArtifactDifferential) {
   for (uint64_t Seed = 0; Seed < 40; ++Seed) {
     ImportedProgram IP = importGenerated(Seed + 1000);
     auto B = lower(*IP.Program, LoweringOptions::O2());
-    BytecodeModule M = compileBytecode(*B);
-    BytecodeModule F = fuseBytecode(*B, M);
     WorkloadInput In = irgen::makeInput(Seed + 1000);
     std::string Ctx = "cfg artifact seed " + std::to_string(Seed);
-
-    std::vector<IntervalRecord> Fast =
-        runFixedIntervals(*B, In, 128, true, FuzzCap);
-    std::vector<IntervalRecord> Plain = runFixedIntervals(
-        *B, In, 128, true, FuzzCap, PerfModelOptions(), &M);
-    std::vector<IntervalRecord> Fused = runFixedIntervals(
-        *B, In, 128, true, FuzzCap, PerfModelOptions(), &F);
-    expectSameIntervals(Fast, Plain, Ctx + " fixed (bytecode)");
-    expectSameIntervals(Fast, Fused, Ctx + " fixed (fused)");
-
-    expectMarkerIdentity(*B, M, F, In, FuzzCap, Ctx);
+    expectFixedIdentity(*B, In, 128, FuzzCap, Ctx);
+    expectMarkerIdentity(*B, In, FuzzCap, Ctx);
   }
 }
 
-// Segmented re-execution rotating fused -> tree -> plain bytecode at
-// random split points: the chained stream equals the straight run.
-TEST(CfgFuzz, CheckpointRotationAcrossTiers) {
+// Segmented re-execution alternating runFastSegment and the virtual
+// runSegment at random split points: the chained stream equals the
+// straight run.
+TEST(CfgFuzz, CheckpointRotation) {
   size_t Suspended = 0;
   for (uint64_t Round = 0; Round < 40; ++Round) {
     ImportedProgram IP = importGenerated(Round + 2000);
     auto B = lower(*IP.Program, LoweringOptions::O2());
-    BytecodeModule M = compileBytecode(*B);
-    BytecodeModule F = fuseBytecode(*B, M);
     WorkloadInput In = irgen::makeInput(Round + 2000);
     std::string Ctx = "cfg round " + std::to_string(Round);
 
     RecordingObserver Ref;
-    RunResult RRef = Interpreter(*B, In).runBytecode(F, Ref, FuzzCap);
+    RunResult RRef = Interpreter(*B, In).runFast(Ref, FuzzCap);
 
     Rng R(splitMix64(Round ^ 0xcf6f00dull));
     uint64_t Len = RRef.TotalInstrs > 0 ? RRef.TotalInstrs : 1;
@@ -144,17 +130,8 @@ TEST(CfgFuzz, CheckpointRotationAcrossTiers) {
     for (size_t S = 0; S < Until.size(); ++S) {
       InterpCheckpoint *Out = &Cks[S % 2];
       Interpreter I(*B, In);
-      switch (S % 3) {
-      case 0:
-        RLast = I.runBytecodeSegment(F, Chained, From, Until[S], Out);
-        break;
-      case 1:
-        RLast = I.runFastSegment(Chained, From, Until[S], Out);
-        break;
-      default:
-        RLast = I.runBytecodeSegment(M, Chained, From, Until[S], Out);
-        break;
-      }
+      RLast = S % 2 ? I.runSegment(Chained, From, Until[S], Out)
+                    : I.runFastSegment(Chained, From, Until[S], Out);
       if (!Out->Finished && !Out->Frames.empty())
         ++Suspended;
       From = Out;
@@ -165,7 +142,7 @@ TEST(CfgFuzz, CheckpointRotationAcrossTiers) {
     EXPECT_TRUE(Ref.Events == Chained.Events) << Ctx;
   }
   // Most rounds must actually suspend mid-run somewhere, or the loop never
-  // tested a real cross-tier resume.
+  // tested a real resume.
   EXPECT_GE(Suspended, 20u);
 }
 
@@ -189,7 +166,7 @@ TEST(CfgFuzz, DumpFixpoint) {
 
 // Irreducible injection: a second entry into a loop body must be rejected
 // by name, and node splitting must legalize exactly that shape into a
-// program that still agrees across all four tiers.
+// program that still agrees across run() and runFast.
 TEST(CfgFuzz, IrreducibleInjection) {
   cfggen::Options GO;
   GO.InjectIrreducible = true;
@@ -212,10 +189,8 @@ TEST(CfgFuzz, IrreducibleInjection) {
     EXPECT_GT(Split->SplitBlocks, 0u) << "seed " << Seed;
 
     auto B = lower(*Split->Program, LoweringOptions::O2());
-    BytecodeModule M = compileBytecode(*B);
-    BytecodeModule F = fuseBytecode(*B, M);
     WorkloadInput In = irgen::makeInput(Seed + 4000);
-    diffOneProgram(*B, M, F, In,
+    diffOneProgram(*B, In,
                    "cfg irreducible seed " + std::to_string(Seed));
   }
 }

@@ -15,9 +15,8 @@
 //      failpoints cannot land without recovery coverage.
 //   4. Crash-then-resume differential over generated programs
 //      (tests/IrGen.h): a marker pipeline run killed at a checkpoint
-//      boundary and resumed from the serialized bytes — on the same tier
-//      or a different one — must reproduce the uninterrupted run's
-//      intervals, firings and totals exactly.
+//      boundary and resumed from the serialized bytes must reproduce the
+//      uninterrupted run's intervals, firings and totals exactly.
 //
 // Everything is a pure function of the program seed, so any failure
 // reproduces from the log alone.
@@ -36,8 +35,6 @@
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/Trace.h"
-#include "vm/Bytecode.h"
-#include "vm/Fusion.h"
 #include "vm/Interpreter.h"
 
 #include "CfgGen.h"
@@ -60,8 +57,8 @@ using namespace spm::difftest;
 namespace {
 
 /// Instruction cap per fuzz run: the crash/resume differential runs each
-/// program several times across tiers, so it uses a tighter budget than
-/// the single-pass bytecode fuzz.
+/// program several times, so it uses a tighter budget than the
+/// single-pass stream differentials.
 constexpr uint64_t FaultCap = 100'000;
 
 /// Program seeds in the crash-then-resume differential.
@@ -98,12 +95,11 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Uninterrupted run on the tier \p Bc selects: a one-segment chain.
+/// Uninterrupted run: a one-segment chain.
 MarkerRun runWhole(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
-                   const WorkloadInput &In, const BytecodeModule *Bc,
-                   uint64_t Cap) {
-  MarkerStack S(B, Loops, G, M, In, Bc);
+                   const WorkloadInput &In, uint64_t Cap) {
+  MarkerStack S(B, Loops, G, M, In);
   MarkerRun Out;
   runChainSegment(S, "", Cap, /*Last=*/true, Out, "whole");
   return Out;
@@ -114,30 +110,27 @@ MarkerRun runWhole(const Binary &B, const LoopIndex &Loops,
 /// cut before the boundary.
 std::string saveAt(const Binary &B, const LoopIndex &Loops,
                    const CallLoopGraph &G, const MarkerSet &M,
-                   const WorkloadInput &In, const BytecodeModule *Bc,
-                   uint64_t At, MarkerRun &Left) {
-  MarkerStack S(B, Loops, G, M, In, Bc);
+                   const WorkloadInput &In, uint64_t At, MarkerRun &Left) {
+  MarkerStack S(B, Loops, G, M, In);
   return runChainSegment(S, "", At, /*Last=*/false, Left, "save");
 }
 
 /// Finishes the run from the serialized boundary \p Bytes (the `checkpoint
-/// resume` flow) on the tier \p Bc selects, appending to the outputs
-/// \p Left holds from before the boundary.
+/// resume` flow), appending to the outputs \p Left holds from before the
+/// boundary.
 MarkerRun resumeFrom(const Binary &B, const LoopIndex &Loops,
                      const CallLoopGraph &G, const MarkerSet &M,
-                     const WorkloadInput &In, const BytecodeModule *Bc,
-                     const std::string &Bytes, MarkerRun Left, uint64_t Cap,
-                     const std::string &Ctx) {
-  MarkerStack S(B, Loops, G, M, In, Bc);
+                     const WorkloadInput &In, const std::string &Bytes,
+                     MarkerRun Left, uint64_t Cap, const std::string &Ctx) {
+  MarkerStack S(B, Loops, G, M, In);
   runChainSegment(S, Bytes, Cap, /*Last=*/true, Left, Ctx);
   return Left;
 }
 
-/// One generated program compiled for all tiers, with markers selected.
+/// One generated program, lowered, with markers selected.
 struct FuzzCase {
   std::unique_ptr<Binary> B;
   LoopIndex Loops;
-  BytecodeModule M, F;
   std::unique_ptr<CallLoopGraph> G;
   MarkerSet Markers;
   WorkloadInput In;
@@ -146,8 +139,6 @@ struct FuzzCase {
     auto Prog = irgen::generateProgram(Seed);
     B = lower(*Prog, LoweringOptions::O2());
     Loops = LoopIndex::build(*B);
-    M = compileBytecode(*B);
-    F = fuseBytecode(*B, M);
     G = buildCallLoopGraph(*B, Loops, In, FaultCap);
     SelectorConfig SC;
     SC.ILower = 100;
@@ -172,7 +163,7 @@ TEST(FailPointSpec, GrammarAcceptsDocumentedModes) {
   EXPECT_TRUE(failpointsConfigure("ckpt.write=throw:every:2"));
   EXPECT_TRUE(failpointsConfigure("ckpt.write=partial:7"));
   EXPECT_TRUE(failpointsConfigure(
-      "ckpt.write=partial:3,ckpt.read=throw:every:2,bc.verify=throw"));
+      "ckpt.write=partial:3,ckpt.read=throw:every:2,cfg.import=throw"));
   failpointsClear();
 }
 
@@ -252,13 +243,13 @@ TEST(FailPointSpec, CheckThrowsNamedException) {
   FaultGuard Guard;
   if (!failpointsCompiledIn())
     GTEST_SKIP() << "failpoints compiled out";
-  ASSERT_TRUE(failpointsConfigure("bc.verify=throw"));
+  ASSERT_TRUE(failpointsConfigure("cfg.import=throw"));
   try {
-    failpointCheck("bc.verify");
+    failpointCheck("cfg.import");
     FAIL() << "armed failpoint did not throw";
   } catch (const FailPointInjected &E) {
-    EXPECT_EQ(E.name(), "bc.verify");
-    EXPECT_NE(std::string(E.what()).find("bc.verify"), std::string::npos);
+    EXPECT_EQ(E.name(), "cfg.import");
+    EXPECT_NE(std::string(E.what()).find("cfg.import"), std::string::npos);
     EXPECT_NE(std::string(E.what()).find("injected fault"),
               std::string::npos);
   }
@@ -355,7 +346,6 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
     GTEST_SKIP() << "failpoints compiled out";
 
   // Shared fixtures the drivers below reuse.
-  FuzzCase FC(7);
   PipelineCheckpoint Ck;
   Ck.Seed = 7;
   Ck.Interp.TotalInstrs = 42;
@@ -379,11 +369,6 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
       std::optional<PipelineCheckpoint> P = parseCheckpoint(CkBytes);
       ASSERT_TRUE(P.has_value());
       EXPECT_EQ(serializeCheckpoint(*P), CkBytes);
-    } else if (Seam == "bc.verify") {
-      std::string Err;
-      EXPECT_THROW(FC.M.verify(*FC.B, &Err), FailPointInjected);
-      failpointsClear();
-      EXPECT_TRUE(FC.M.verify(*FC.B, &Err)) << Err;
     } else if (Seam == "cfg.import") {
       std::string Err;
       EXPECT_THROW(cfg::importCfg(*Cfg, {}, &Err), FailPointInjected);
@@ -420,86 +405,52 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
 // Layer 4a: crash-then-resume differential over generated programs
 //===----------------------------------------------------------------------===//
 
-// For every generated program and every engine tier: run the full marker
-// pipeline uninterrupted, then again with a mid-run checkpoint boundary —
-// crashing the first serialization attempt, rejecting a corrupted copy of
-// the bytes, and finally resuming from the good copy. The boundary split
-// must be invisible: left + right intervals, firings and final totals
-// equal the uninterrupted run's exactly. Every 4th program also resumes the
-// tree-tier checkpoint on the fused tier, pinning tier-crossing recovery.
+// For every generated program: run the full marker pipeline
+// uninterrupted, then again with a mid-run checkpoint boundary — crashing
+// the first serialization attempt, rejecting a corrupted copy of the
+// bytes, and finally resuming from the good copy. The boundary split must
+// be invisible: left + right intervals, firings and final totals equal the
+// uninterrupted run's exactly.
 TEST(FaultFuzz, CrashThenResumeDifferential) {
   FaultGuard Guard;
   for (uint64_t Seed = 0; Seed < NumPrograms; ++Seed) {
     FuzzCase FC(Seed);
-    std::string Err;
-    ASSERT_TRUE(FC.M.verify(*FC.B, &Err)) << "seed " << Seed << ": " << Err;
-    ASSERT_TRUE(FC.F.verify(*FC.B, &Err)) << "seed " << Seed << ": " << Err;
+    std::string Ctx = "seed " + std::to_string(Seed);
+    MarkerRun Whole =
+        runWhole(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, FaultCap);
+    uint64_t At = Whole.Run.TotalInstrs / 2;
 
-    const BytecodeModule *Tiers[] = {nullptr, &FC.M, &FC.F};
-    const char *TierNames[] = {"tree", "bytecode", "fused"};
-    MarkerRun WholeByTier[3];
-    for (int T = 0; T < 3; ++T) {
-      std::string Ctx = "seed " + std::to_string(Seed) + " tier " +
-                        TierNames[T];
-      MarkerRun Whole = runWhole(*FC.B, FC.Loops, *FC.G, FC.Markers,
-                                 FC.In, Tiers[T], FaultCap);
-      WholeByTier[T] = Whole;
-      uint64_t At = Whole.Run.TotalInstrs / 2;
-
-      // Crash the first save attempt at the serialization seam; the world
-      // stays rerunnable (every 8th program, to bound runtime).
-      if (failpointsCompiledIn() && Seed % 8 == 0) {
-        ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw"));
-        MarkerRun Scratch;
-        EXPECT_THROW(saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
-                            Tiers[T], At, Scratch),
-                     FailPointInjected)
-            << Ctx;
-        failpointsClear();
-      }
-
-      MarkerRun Left;
-      std::string Bytes = saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
-                                 Tiers[T], At, Left);
-
-      // A corrupted copy must be rejected with a named diagnostic before
-      // any state is restored (offset is seed-derived, always past the
-      // header).
-      {
-        std::string Bad = Bytes;
-        size_t Off = ckptutil::HeaderSize +
-                     splitMix64(Seed * 3 + T) %
-                         (Bad.size() - ckptutil::HeaderSize);
-        Bad[Off] = static_cast<char>(static_cast<uint8_t>(Bad[Off]) ^ 0xff);
-        std::string PErr;
-        EXPECT_FALSE(parseCheckpoint(Bad, &PErr).has_value()) << Ctx;
-        EXPECT_NE(PErr.find("ckpt["), std::string::npos)
-            << Ctx << ": " << PErr;
-      }
-
-      expectSameMarkerRun(Whole,
-                          resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers,
-                                     FC.In, Tiers[T], Bytes, Left, FaultCap,
-                                     Ctx),
-                          Ctx + " (stitched)");
-
-      // Tier-crossing resume: a tree-tier checkpoint finished on the fused
-      // tier must match the tree run (checkpoints address source
-      // structure, not engine state).
-      if (T == 0 && Seed % 4 == 0) {
-        expectSameMarkerRun(Whole,
-                            resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers,
-                                       FC.In, &FC.F, Bytes, Left, FaultCap,
-                                       Ctx + " cross-tier"),
-                            Ctx + " (cross-tier)");
-      }
+    // Crash the first save attempt at the serialization seam; the world
+    // stays rerunnable (every 8th program, to bound runtime).
+    if (failpointsCompiledIn() && Seed % 8 == 0) {
+      ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw"));
+      MarkerRun Scratch;
+      EXPECT_THROW(
+          saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, At, Scratch),
+          FailPointInjected)
+          << Ctx;
+      failpointsClear();
     }
 
-    // The three tiers' uninterrupted runs agree with each other too.
-    std::string Ctx = "seed " + std::to_string(Seed);
-    expectSameMarkerRun(WholeByTier[0], WholeByTier[1],
-                        Ctx + " (tree vs bytecode)");
-    expectSameMarkerRun(WholeByTier[0], WholeByTier[2],
-                        Ctx + " (tree vs fused)");
+    MarkerRun Left;
+    std::string Bytes =
+        saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, At, Left);
+
+    // A corrupted copy must be rejected with a named diagnostic before any
+    // state is restored (offset is seed-derived, always past the header).
+    {
+      std::string Bad = Bytes;
+      size_t Off = ckptutil::HeaderSize +
+                   splitMix64(Seed * 3) % (Bad.size() - ckptutil::HeaderSize);
+      Bad[Off] = static_cast<char>(static_cast<uint8_t>(Bad[Off]) ^ 0xff);
+      std::string PErr;
+      EXPECT_FALSE(parseCheckpoint(Bad, &PErr).has_value()) << Ctx;
+      EXPECT_NE(PErr.find("ckpt["), std::string::npos) << Ctx << ": " << PErr;
+    }
+
+    expectSameMarkerRun(Whole,
+                        resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
+                                   Bytes, Left, FaultCap, Ctx),
+                        Ctx + " (stitched)");
   }
 }

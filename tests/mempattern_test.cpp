@@ -2,7 +2,6 @@
 
 #include "ir/Builder.h"
 #include "ir/Lowering.h"
-#include "vm/Fusion.h"
 #include "vm/Interpreter.h"
 #include "workloads/Workloads.h"
 
@@ -155,14 +154,14 @@ TEST(MemPattern, SeparateSitesHaveIndependentCursors) {
 }
 
 //===----------------------------------------------------------------------===//
-// One address formula: every engine's addresses against the % formulas
+// One address formula: runFast's addresses against the % formulas
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// The address formulas written with %, one cursor set per site seeded as
-/// the interpreter seeds its own, checking every address the engine emits
-/// against them in order.
+/// the interpreter seeds its own, checking every address the interpreter
+/// emits against them in order.
 struct PercentOracle {
   const Interpreter &Geometry; ///< Region bases and sizes.
   std::vector<uint64_t> SeqPos, ChaseState, RandState;
@@ -244,35 +243,20 @@ struct PercentOracle {
   }
 };
 
-/// Runs \p B on \p In under runFast, plain bytecode and fused bytecode,
-/// each checked address by address against the % formulas. Returns the
-/// addresses checked per engine; adds the sites checked to \p Sites.
+/// Runs \p B on \p In under runFast, checked address by address against
+/// the % formulas. Returns the addresses checked; adds the sites checked to
+/// \p Sites.
 uint64_t expectPercentFormulas(const Binary &B, const WorkloadInput &In,
                                const std::string &Ctx,
                                std::set<uint32_t> *Sites = nullptr) {
-  BytecodeModule Plain = compileBytecode(B);
-  BytecodeModule Fused = fuseBytecode(B, compileBytecode(B));
-  uint64_t Checked = 0;
-  for (int Engine = 0; Engine < 3; ++Engine) {
-    Interpreter Interp(B, In);
-    PercentOracle O(B, In, Interp);
-    if (Engine == 0)
-      Interp.runFast(O);
-    else
-      Interp.runBytecode(Engine == 1 ? Plain : Fused, O);
-    std::string E = Ctx + (Engine == 0   ? " runFast"
-                           : Engine == 1 ? " runBytecode"
-                                         : " runBytecode fused");
-    EXPECT_EQ(O.Mismatches, 0u) << E << ": " << O.FirstMismatch;
-    EXPECT_TRUE(O.complete()) << E;
-    if (Engine) {
-      EXPECT_EQ(O.Checked, Checked) << E;
-    }
-    Checked = O.Checked;
-    if (Sites)
-      Sites->insert(O.Sites.begin(), O.Sites.end());
-  }
-  return Checked;
+  Interpreter Interp(B, In);
+  PercentOracle O(B, In, Interp);
+  Interp.runFast(O);
+  EXPECT_EQ(O.Mismatches, 0u) << Ctx << ": " << O.FirstMismatch;
+  EXPECT_TRUE(O.complete()) << Ctx;
+  if (Sites)
+    Sites->insert(O.Sites.begin(), O.Sites.end());
+  return O.Checked;
 }
 
 /// A one-site program: \p Spec in a loop of \p Iters over one region.

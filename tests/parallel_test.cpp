@@ -4,8 +4,8 @@
 // (docs/parallelism.md): every parallelized site must produce bit-identical
 // results at jobs=1 (pure serial, no pool) and jobs=4. Checked
 // differentially for each site — k-means clustering, the suite-summary
-// rows, marker-interval streams, and graphs profiled on pool workers that
-// share one fused bytecode module — swept over workloads x seeds. Also
+// rows, and marker-interval streams built on graphs profiled on pool
+// workers — swept over workloads x seeds. Also
 // pins the k-means restart seed-derivation scheme, which the equivalence
 // relies on. Run under SPM_SANITIZE=thread in CI.
 //
@@ -15,8 +15,6 @@
 #include "simpoint/KMeans.h"
 #include "simpoint/Projection.h"
 #include "support/Parallel.h"
-#include "vm/Bytecode.h"
-#include "vm/Fusion.h"
 
 #include <gtest/gtest.h>
 
@@ -169,31 +167,6 @@ TEST_P(SerialEquivalence, MarkerIntervalStreamBitIdentical) {
   EXPECT_EQ(Serial.Firings, Parallel.Firings);
   EXPECT_EQ(Serial.Run.TotalInstrs, Parallel.Run.TotalInstrs);
   expectSameIntervals(Serial.Intervals, Parallel.Intervals);
-}
-
-TEST_P(SerialEquivalence, GraphsOnSharedFusedModuleBitIdentical) {
-  // The `spm_tool bench --engine bytecode` fan-out: pool workers profile
-  // concurrently through one freshly fused, not yet verified module, so
-  // they race on its verification memo. Every graph must still print
-  // exactly as the serial tree-tier profile of the same input.
-  Workload W = WorkloadRegistry::create(name());
-  auto Bin = lower(*W.Program, LoweringOptions::O2());
-  LoopIndex Loops = LoopIndex::build(*Bin);
-  WorkloadInput Mid = W.midInput(seed());
-  std::vector<const WorkloadInput *> Inputs = {&W.Train, &Mid, &W.Train,
-                                               &Mid};
-
-  BytecodeModule Fused = fuseBytecode(*Bin, compileBytecode(*Bin));
-  std::vector<std::unique_ptr<CallLoopGraph>> Pooled;
-  {
-    ScopedJobs J(4);
-    Pooled = buildCallLoopGraphs(*Bin, Loops, Inputs, &Fused);
-  }
-  ASSERT_EQ(Pooled.size(), Inputs.size());
-  for (size_t I = 0; I < Inputs.size(); ++I)
-    EXPECT_EQ(printGraph(*buildCallLoopGraph(*Bin, Loops, *Inputs[I])),
-              printGraph(*Pooled[I]))
-        << "input " << I;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,6 +11,11 @@
 // same graph byte-identically. Also covers checkpoint round-trips through
 // the versioned binary format, negative parsing paths, structural frame
 // validation, and a seeded random-boundary fuzz over the segment chain.
+// Generated programs (tests/IrGen.h) and hand-built degenerate shapes run
+// the same contract: run() and runFast emit identical streams, a
+// serialized segment chain cut at random boundaries reproduces the
+// uninterrupted run, and every boundary checkpoint re-serializes to the
+// bytes it was parsed from.
 //
 //===----------------------------------------------------------------------==//
 
@@ -24,10 +29,12 @@
 
 #include "CkptTestUtil.h"
 #include "DiffHarness.h"
+#include "IrGen.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,7 +107,7 @@ TEST(ShardDifferential, CallLoopGraphDump) {
       CallLoopGraph G(*B, Loops);
       runSegmentChain(
           [&] {
-            return std::make_unique<GraphStack>(*B, Loops, G, RC.In, nullptr);
+            return std::make_unique<GraphStack>(*B, Loops, G, RC.In);
           },
           evenBoundaries(Total, N, Cap), Ctx);
       G.finalize();
@@ -134,7 +141,7 @@ TEST(ShardDifferential, MarkerIntervalsAndFirings) {
       MarkerRun Got = runSegmentChain(
           [&] {
             return std::make_unique<MarkerStack>(*B, Loops, *G, Sel.Markers,
-                                                 RC.In, nullptr);
+                                                 RC.In);
           },
           evenBoundaries(Ref.Run.TotalInstrs, N, Cap), Ctx);
       expectSameMarkerRun(Ref, Got, Ctx);
@@ -160,7 +167,7 @@ TEST(ShardDifferential, FixedIntervalsAndBbv) {
       std::string Ctx = RC.Name + " segments=" + std::to_string(N);
       MarkerRun Got = runSegmentChain(
           [&] {
-            return std::make_unique<FixedStack>(*B, RC.In, nullptr, Len);
+            return std::make_unique<FixedStack>(*B, RC.In, Len);
           },
           evenBoundaries(Total, N, Cap), Ctx);
       expectSameIntervals(Ref, Got.Intervals, Ctx);
@@ -274,7 +281,7 @@ TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
     MarkerRun Got;
     std::string Bytes;
     {
-      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In, nullptr);
+      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In);
       Bytes = runChainSegment(S, "", Mid, /*Last=*/false, Got, RC.Name);
     }
     // Segments suspend at the first block boundary at or past Mid.
@@ -289,7 +296,7 @@ TEST(ShardCheckpoint, SerializedRoundTripResumesExactly) {
     EXPECT_EQ(serializeCheckpoint(*Parsed), Bytes) << RC.Name;
 
     {
-      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In, nullptr);
+      MarkerStack S(*B, Loops, *G, Sel.Markers, RC.In);
       runChainSegment(S, Bytes, Cap, /*Last=*/true, Got, RC.Name);
     }
     expectSameMarkerRun(Ref, Got, RC.Name);
@@ -632,4 +639,191 @@ TEST(ShardFuzz, BoundaryAtRunEndResumesToNothing) {
   EXPECT_EQ(Got.Events.size(), EventsAfterFull);
   expectSameRun(RefR, R2, "zero-length resume");
   EXPECT_EQ(C1.TotalInstrs, C2.TotalInstrs);
+}
+
+//===----------------------------------------------------------------------===//
+// Generated and degenerate programs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p B on \p In as a chain of runFastSegment calls cut at \p Until
+/// (ascending; the last is the cap), each segment a fresh interpreter
+/// resumed from the previous boundary's checkpoint as parsed back from its
+/// spmckpt bytes. Each parsed checkpoint must validate against \p B and
+/// re-serialize to exactly the bytes it was parsed from. The concatenated
+/// event stream and the final totals must equal an uninterrupted runFast
+/// capped at the last boundary. Returns the number of boundaries that
+/// suspended mid-run.
+size_t expectSerializedChainMatchesRun(const Binary &B,
+                                       const WorkloadInput &In,
+                                       const std::vector<uint64_t> &Until,
+                                       const std::string &Ctx) {
+  RecordingObserver Ref;
+  RunResult RefR = Interpreter(B, In).runFast(Ref, Until.back());
+
+  RecordingObserver Got;
+  RunResult R;
+  size_t Suspended = 0;
+  std::optional<PipelineCheckpoint> Prev;
+  for (size_t S = 0; S < Until.size(); ++S) {
+    std::string SCtx = Ctx + " segment " + std::to_string(S);
+    PipelineCheckpoint C;
+    C.Seed = In.seed();
+    R = Interpreter(B, In).runFastSegment(
+        Got, Prev ? &Prev->Interp : nullptr, Until[S], &C.Interp);
+    if (!C.Interp.Finished && !C.Interp.Frames.empty())
+      ++Suspended;
+    std::string Bytes = serializeCheckpoint(C);
+    std::string Err;
+    Prev = parseCheckpoint(Bytes, &Err);
+    EXPECT_TRUE(Prev.has_value()) << SCtx << ": " << Err;
+    if (!Prev)
+      return Suspended;
+    EXPECT_EQ(serializeCheckpoint(*Prev), Bytes) << SCtx;
+    EXPECT_TRUE(Prev->Interp.Frames == C.Interp.Frames) << SCtx;
+    EXPECT_TRUE(Prev->Interp.validateFor(B, &Err)) << SCtx << ": " << Err;
+  }
+  expectSameRun(RefR, R, Ctx);
+  EXPECT_EQ(Ref.Events.size(), Got.Events.size()) << Ctx;
+  EXPECT_TRUE(Ref.Events == Got.Events) << Ctx;
+  return Suspended;
+}
+
+/// 2-5 segments with boundaries drawn across the uninterrupted length
+/// (at least 1, so zero-length programs still cross the boundary paths);
+/// the last boundary is FuzzCap.
+std::vector<uint64_t> randomBoundaries(const Binary &B,
+                                       const WorkloadInput &In,
+                                       uint64_t RngSeed) {
+  Rng R(splitMix64(RngSeed));
+  uint64_t Len = std::max<uint64_t>(runLength(B, In, FuzzCap), 1);
+  std::vector<uint64_t> Until;
+  uint64_t NumSegs = 2 + R.nextBelow(4);
+  for (uint64_t S = 0; S + 1 < NumSegs; ++S)
+    Until.push_back(1 + R.nextBelow(Len));
+  std::sort(Until.begin(), Until.end());
+  Until.push_back(FuzzCap);
+  return Until;
+}
+
+/// The three-way check on one program: run() and runFast agree event for
+/// event, a serialized chain at even boundaries and one at random
+/// boundaries reproduce the uninterrupted run, and every boundary
+/// checkpoint round-trips through its bytes. Returns the suspended
+/// boundaries.
+size_t checkProgram(const Binary &B, const WorkloadInput &In,
+                    uint64_t RngSeed, const std::string &Ctx) {
+  diffOneProgram(B, In, Ctx);
+  size_t Suspended = expectSerializedChainMatchesRun(
+      B, In, evenBoundaries(runLength(B, In, FuzzCap), 3, FuzzCap),
+      Ctx + " even");
+  return Suspended + expectSerializedChainMatchesRun(
+                         B, In, randomBoundaries(B, In, RngSeed),
+                         Ctx + " random");
+}
+
+} // namespace
+
+// 200 generated programs x 2 input seeds through checkProgram, on
+// completed and cap-truncated runs alike. Most of the ~1,800 boundaries
+// must suspend mid-run, or the chains never exercised a real resume.
+TEST(ShardGenerated, RandomSplitChainsOnGeneratedPrograms) {
+  size_t Suspended = 0;
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    auto Prog = irgen::generateProgram(Seed);
+    auto B = lower(*Prog, LoweringOptions::O2());
+    for (uint64_t InSeed : {Seed, Seed + 1000})
+      Suspended += checkProgram(*B, irgen::makeInput(InSeed),
+                                Seed ^ 0xc0ffee ^ (InSeed << 20),
+                                "program " + std::to_string(Seed) +
+                                    " input " + std::to_string(InSeed));
+  }
+  EXPECT_GE(Suspended, 1000u);
+}
+
+// Graph, marker and fixed-interval segment chains on generated programs
+// against the uninterrupted drivers.
+TEST(ShardGenerated, SegmentChainsMatchDrivers) {
+  for (uint64_t Seed = 0; Seed < 8; ++Seed) {
+    auto Prog = irgen::generateProgram(Seed * 13 + 3);
+    auto B = lower(*Prog, LoweringOptions::O2());
+    WorkloadInput In = irgen::makeInput(Seed);
+    std::string Ctx = "program " + std::to_string(Seed);
+    expectMarkerIdentity(*B, In, FuzzCap, Ctx);
+    expectFixedIdentity(*B, In, 10'000, FuzzCap, Ctx);
+  }
+}
+
+// Edge shapes the generator only hits probabilistically, pinned down: an
+// empty program, a zero-trip-only body, a deep nesting chain,
+// depth-cap-saturating unconditional self-recursion, a trip-1 loop, and a
+// loop far longer than the instruction cap.
+TEST(ShardGenerated, DegenerateShapes) {
+  auto check = [](std::unique_ptr<SourceProgram> Prog, uint64_t Seed,
+                  const std::string &Ctx) {
+    auto B = lower(*Prog, LoweringOptions::O2());
+    checkProgram(*B, WorkloadInput(Ctx, Seed), Seed, Ctx);
+  };
+  {
+    ProgramBuilder PB("empty");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &) {});
+    check(PB.take(), 1, "empty main");
+  }
+  {
+    ProgramBuilder PB("zerotrip");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(0), [&] { FB.code(7); });
+    });
+    check(PB.take(), 2, "zero-trip loop");
+  }
+  {
+    ProgramBuilder PB("deep");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      std::function<void(int)> Nest = [&](int D) {
+        if (D == 0) {
+          FB.code(1);
+          return;
+        }
+        FB.loop(TripCountSpec::constant(2), [&] { Nest(D - 1); });
+      };
+      Nest(12);
+    });
+    check(PB.take(), 3, "deep nesting");
+  }
+  {
+    ProgramBuilder PB("satdepth");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.code(2);
+      FB.callIf(0, 1.0); // Terminates only via the MaxCallDepth cap.
+      FB.code(1);
+    });
+    check(PB.take(), 4, "depth-cap saturation");
+  }
+  {
+    ProgramBuilder PB("trip1");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(1), [&] { FB.code(3); });
+    });
+    check(PB.take(), 5, "trip-1 loop");
+  }
+  {
+    ProgramBuilder PB("bigloop");
+    PB.region(MemRegionSpec::fixed("r", 4096));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(1'000'000), [&] { FB.code(8); });
+    });
+    check(PB.take(), 6, "loop longer than the cap");
+  }
 }

@@ -39,8 +39,6 @@
 #include "support/Parallel.h"
 #include "support/Table.h"
 #include "support/Trace.h"
-#include "vm/Bytecode.h"
-#include "vm/Fusion.h"
 #include "workloads/Workloads.h"
 
 #include <memory>
@@ -83,9 +81,6 @@ int usage() {
       "                  [--ilower N] [--limit N]]\n"
       "common: --jobs N parallelizes independent runs (0 = all cores;\n"
       "        SPM_JOBS is the environment fallback)\n"
-      "        --engine tree|bytecode picks the execution tier (default\n"
-      "        tree); outputs are byte-identical across tiers. bytecode\n"
-      "        runs the superop-fused bytecode module (the fastest tier)\n"
       "        --trace-out FILE enables spmtrace and writes a Chrome\n"
       "        trace_event JSON timeline (chrome://tracing / Perfetto)\n"
       "        --metrics-out FILE enables spmtrace and writes the metrics\n"
@@ -100,9 +95,8 @@ int usage() {
       "        fault, a flight-recorder crash dump lands next to -o as\n"
       "        <out>.crash.json (docs/observability.md)\n"
       "bench --profile measures per-stage event throughput of the virtual\n"
-      "run() path (legacy arm) vs runFast (engine arm) and the plain and\n"
-      "fused bytecode tiers; JSON lands in BENCH_engine.json unless -o\n"
-      "overrides it\n");
+      "run() path (legacy arm) vs runFast (engine arm); JSON lands in\n"
+      "BENCH_engine.json unless -o overrides it\n");
   return 2;
 }
 
@@ -194,7 +188,6 @@ struct CommonArgs {
   std::string TraceOut;
   std::string MetricsOut;
   std::string Failpoints;
-  std::string Engine = "tree";
   std::vector<std::pair<std::string, int64_t>> Params;
   uint64_t Seed = 1;
   bool SplitIrreducible = false;
@@ -262,13 +255,6 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
       A.MetricsOut = V;
     } else if (valueOpt(Arg, "--failpoints", I, Argc, Argv, V)) {
       A.Failpoints = V;
-    } else if (valueOpt(Arg, "--engine", I, Argc, Argv, V)) {
-      if (V != "tree" && V != "bytecode") {
-        std::fprintf(stderr, "unknown engine %s (tree|bytecode)\n",
-                     V.c_str());
-        A.Bad = true;
-      }
-      A.Engine = V;
     } else if (valueOpt(Arg, "--param", I, Argc, Argv, V)) {
       size_t Eq = V.find('=');
       if (Eq == std::string::npos || Eq == 0) {
@@ -311,13 +297,10 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
 /// re-run the command and to tell artifacts from differently-configured
 /// runs apart. One JSON object, no trailing newline.
 std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
-  bool Fused = A.Engine == "bytecode";
-  std::string Out = "{\"format_version\": 1";
+  std::string Out = "{\"format_version\": 2";
   Out += ", \"tool\": \"spm_tool\"";
   Out += ", \"command\": \"" + jsonEscape(Cmd) + "\"";
   Out += ", \"seed\": " + std::to_string(A.Seed);
-  Out += ", \"engine\": \"" + jsonEscape(A.Engine) + "\"";
-  Out += std::string(", \"fused\": ") + (Fused ? "true" : "false");
   Out += ", \"jobs\": " + std::to_string(parallelJobs());
   Out += ", \"input\": \"" + std::string(A.UseRef ? "ref" : "train") + "\"";
   Out += std::string(", \"trace_compiled_in\": ") +
@@ -329,18 +312,6 @@ std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
   Out += ", \"failpoints\": \"" + jsonEscape(A.Failpoints) + "\"";
   Out += "}";
   return Out;
-}
-
-/// Compiles \p Bin to the superop-fused bytecode module when the bytecode
-/// tier was selected; returns null for the tree tier. Every driver takes
-/// the module as an optional pointer, so a null return selects the default
-/// path untouched.
-std::unique_ptr<BytecodeModule> makeEngine(const CommonArgs &A,
-                                           const Binary &Bin) {
-  if (A.Engine != "bytecode")
-    return nullptr;
-  return std::make_unique<BytecodeModule>(
-      fuseBytecode(Bin, compileBytecode(Bin)));
 }
 
 int cmdList() {
@@ -359,9 +330,7 @@ int cmdProfile(const CommonArgs &A) {
   Workload W = WorkloadRegistry::create(A.Positional[0]);
   auto Bin = lower(*W.Program, LoweringOptions::O2());
   LoopIndex Loops = LoopIndex::build(*Bin);
-  auto Bc = makeEngine(A, *Bin);
-  auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(), Bc.get());
+  auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train);
   if (!writeOutput(A.OutPath, serializeProfile(*G, *Bin, Loops))) {
     std::fprintf(stderr, "profile: cannot write %s\n", A.OutPath.c_str());
     return 1;
@@ -430,11 +399,9 @@ int cmdReport(const CommonArgs &A) {
                  "binary\n",
                  Portable->size() - M.size(), Portable->size());
 
-  auto Bc = makeEngine(A, *Bin);
-  MarkerRun Run = runMarkerIntervals(
-      *Bin, Loops, *G, M, A.UseRef ? W.Ref : W.Train,
-      /*CollectBbv=*/false, /*RecordFirings=*/false,
-      std::numeric_limits<uint64_t>::max(), PerfModelOptions(), Bc.get());
+  MarkerRun Run = runMarkerIntervals(*Bin, Loops, *G, M,
+                                     A.UseRef ? W.Ref : W.Train,
+                                     /*CollectBbv=*/false);
   ClassificationSummary S = summarizeClassification(
       Run.Intervals, phasesFromRecords(Run.Intervals), cpiMetric);
   double Whole = wholeProgramCov(Run.Intervals, cpiMetric);
@@ -497,14 +464,10 @@ int cmdBench(const CommonArgs &A) {
     Workload W = WorkloadRegistry::create(Names[I]);
     auto Bin = lower(*W.Program, LoweringOptions::O2());
     LoopIndex Loops = LoopIndex::build(*Bin);
-    auto Bc = makeEngine(A, *Bin);
-    auto Graphs =
-        buildCallLoopGraphs(*Bin, Loops, {&W.Train, &W.Ref}, Bc.get());
+    auto Graphs = buildCallLoopGraphs(*Bin, Loops, {&W.Train, &W.Ref});
     SelectionResult Sel = selectMarkers(*Graphs[0], A.Config);
-    MarkerRun Run = runMarkerIntervals(
-        *Bin, Loops, *Graphs[0], Sel.Markers, W.Ref,
-        /*CollectBbv=*/false, /*RecordFirings=*/false,
-        std::numeric_limits<uint64_t>::max(), PerfModelOptions(), Bc.get());
+    MarkerRun Run = runMarkerIntervals(*Bin, Loops, *Graphs[0], Sel.Markers,
+                                       W.Ref, /*CollectBbv=*/false);
     ClassificationSummary S = summarizeClassification(
         Run.Intervals, phasesFromRecords(Run.Intervals), cpiMetric);
     Row.Name = W.displayName();
@@ -554,8 +517,8 @@ struct EventCounter : ExecutionObserver {
 };
 
 /// `spm_tool bench --profile`: per-stage event throughput of the virtual
-/// run() path (legacy arm) vs the devirtualized runFast engine and the
-/// plain and fused bytecode tiers, on identical streams. Times are best-of---reps, summed over workloads; events/sec
+/// run() path (legacy arm) vs the devirtualized runFast engine, on identical
+/// streams. Times are best-of---reps, summed over workloads; events/sec
 /// divides the total event count (blocks + memory accesses + branches +
 /// calls + returns) by stage time. JSON goes to BENCH_engine.json (or -o).
 int cmdBenchProfile(const CommonArgs &A) {
@@ -632,19 +595,6 @@ int cmdBenchProfile(const CommonArgs &A) {
       auto G = buildCallLoopGraph(*Bin, Loops, In, Cap);
       SelectionResult Sel = selectMarkers(*G, A.Config);
 
-      // Bytecode tier: compiled once per workload. Compile cost gets its
-      // own registry cell so the JSON reports it next to dispatch wins.
-      BytecodeModule Bc;
-      timeReps(stageHist(Name, "bc_compile", "bytecode"),
-               [&] { Bc = compileBytecode(*Bin); });
-      // Fused tier: the superop/tape overlay over the same module. The
-      // pass cost gets its own cell; the per-run module verification is
-      // memoized (first rep verifies, later reps hit the cached token),
-      // so dispatch cells below measure dispatch, not re-verification.
-      BytecodeModule Fused;
-      timeReps(stageHist(Name, "bc_fuse", "fused"),
-               [&] { Fused = fuseBytecode(*Bin, Bc); });
-
       timeReps(stageHist(Name, "interp", "legacy"), [&] {
         ExecutionObserver Nop;
         Interpreter I(*Bin, In);
@@ -654,16 +604,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         NullSink S;
         Interpreter I(*Bin, In);
         I.runFast(S, Cap);
-      });
-      timeReps(stageHist(Name, "interp", "bytecode"), [&] {
-        NullSink S;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, S, Cap);
-      });
-      timeReps(stageHist(Name, "interp", "fused"), [&] {
-        NullSink S;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, S, Cap);
       });
 
       timeReps(stageHist(Name, "interp+tracker", "legacy"), [&] {
@@ -682,20 +622,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         T.setProfileTarget(&PG);
         Interpreter I(*Bin, In);
         I.runFast(T, Cap);
-      });
-      timeReps(stageHist(Name, "interp+tracker", "bytecode"), [&] {
-        CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        T.setProfileTarget(&PG);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, T, Cap);
-      });
-      timeReps(stageHist(Name, "interp+tracker", "fused"), [&] {
-        CallLoopGraph PG(*Bin, Loops);
-        CallLoopTracker T(*Bin, Loops, PG);
-        T.setProfileTarget(&PG);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, T, Cap);
       });
 
       timeReps(stageHist(Name, "tracker+markers+intervals", "legacy"), [&] {
@@ -726,33 +652,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         Interpreter I(*Bin, In);
         I.runFast(Mux, Cap);
       });
-      timeReps(stageHist(Name, "tracker+markers+intervals", "bytecode"),
-               [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
-                                                                   Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Mux, Cap);
-      });
-      timeReps(stageHist(Name, "tracker+markers+intervals", "fused"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::markerDriven(&Perf, /*CollectBbv=*/false);
-        CallLoopTracker T(*Bin, Loops, *G);
-        MarkerRuntime RT(Sel.Markers, *G);
-        T.addListener(&RT);
-        RT.setCallback([&](int32_t Idx) { Ivb.requestCut(Idx); });
-        StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(T, Ivb,
-                                                                   Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Mux, Cap);
-      });
 
       timeReps(stageHist(Name, "bbv", "legacy"), [&] {
         PerfModel Perf;
@@ -772,22 +671,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         Interpreter I(*Bin, In);
         I.runFast(Mux, Cap);
       });
-      timeReps(stageHist(Name, "bbv", "bytecode"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Mux, Cap);
-      });
-      timeReps(stageHist(Name, "bbv", "fused"), [&] {
-        PerfModel Perf;
-        IntervalBuilder Ivb =
-            IntervalBuilder::fixedLength(100000, &Perf, /*CollectBbv=*/true);
-        StaticMux<IntervalBuilder, PerfModel> Mux(Ivb, Perf);
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Mux, Cap);
-      });
 
       timeReps(stageHist(Name, "cache", "legacy"), [&] {
         PerfModel Perf;
@@ -798,16 +681,6 @@ int cmdBenchProfile(const CommonArgs &A) {
         PerfModel Perf;
         Interpreter I(*Bin, In);
         I.runFast(Perf, Cap);
-      });
-      timeReps(stageHist(Name, "cache", "bytecode"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Bc, Perf, Cap);
-      });
-      timeReps(stageHist(Name, "cache", "fused"), [&] {
-        PerfModel Perf;
-        Interpreter I(*Bin, In);
-        I.runBytecode(Fused, Perf, Cap);
       });
 
     } catch (const std::exception &E) {
@@ -825,11 +698,7 @@ int cmdBenchProfile(const CommonArgs &A) {
       .cell("stage")
       .cell("legacy Mev/s")
       .cell("engine Mev/s")
-      .cell("bytecode Mev/s")
-      .cell("fused Mev/s")
-      .cell("eng/leg")
-      .cell("bc/eng")
-      .cell("fz/eng");
+      .cell("eng/leg");
   char Buf[384];
   std::string Json = "{\n  \"bench\": \"engine-profile\",\n";
   std::snprintf(Buf, sizeof(Buf),
@@ -839,17 +708,6 @@ int cmdBenchProfile(const CommonArgs &A) {
                 traceCompiledIn() ? "true" : "false",
                 spmTraceEnabled() ? "true" : "false");
   Json += Buf;
-  double BcCompileSec = stageSeconds("bc_compile", "bytecode");
-  if (BcCompileSec > 0.0) {
-    std::snprintf(Buf, sizeof(Buf), "  \"bc_compile_s\": %.6f,\n",
-                  BcCompileSec);
-    Json += Buf;
-  }
-  double BcFuseSec = stageSeconds("bc_fuse", "fused");
-  if (BcFuseSec > 0.0) {
-    std::snprintf(Buf, sizeof(Buf), "  \"bc_fuse_s\": %.6f,\n", BcFuseSec);
-    Json += Buf;
-  }
   if (!StageError.empty())
     Json += "  \"aborted_at\": \"" + jsonEscape(StageError) + "\",\n";
   Json += "  \"workloads\": [";
@@ -862,8 +720,6 @@ int cmdBenchProfile(const CommonArgs &A) {
   for (int S = 0; S < NumStages; ++S) {
     double LegacySec = stageSeconds(StageNames[S], "legacy");
     double EngineSec = stageSeconds(StageNames[S], "engine");
-    double BcSec = stageSeconds(StageNames[S], "bytecode");
-    double FzSec = stageSeconds(StageNames[S], "fused");
     // A stage the run never reached (exception upstream) has no registry
     // samples — leave it out rather than emit NaNs.
     if (!(LegacySec > 0.0) || !(EngineSec > 0.0))
@@ -871,56 +727,19 @@ int cmdBenchProfile(const CommonArgs &A) {
     double LegacyEps = TotalEvents / LegacySec;
     double EngineEps = TotalEvents / EngineSec;
     double Speedup = LegacySec / EngineSec;
-    bool HasBc = BcSec > 0.0;
-    bool HasFz = FzSec > 0.0;
-    auto &Row = T.row().cell(StageNames[S]).cell(LegacyEps / 1e6, 1).cell(
-        EngineEps / 1e6, 1);
-    if (HasBc)
-      Row.cell(TotalEvents / BcSec / 1e6, 1);
-    else
-      Row.cell("-");
-    if (HasFz)
-      Row.cell(TotalEvents / FzSec / 1e6, 1);
-    else
-      Row.cell("-");
     std::snprintf(Buf, sizeof(Buf), "%.2fx", Speedup);
-    Row.cell(std::string(Buf));
-    if (HasBc) {
-      std::snprintf(Buf, sizeof(Buf), "%.2fx", EngineSec / BcSec);
-      Row.cell(std::string(Buf));
-    } else {
-      Row.cell("-");
-    }
-    if (HasFz) {
-      std::snprintf(Buf, sizeof(Buf), "%.2fx", EngineSec / FzSec);
-      Row.cell(std::string(Buf));
-    } else {
-      Row.cell("-");
-    }
+    T.row()
+        .cell(StageNames[S])
+        .cell(LegacyEps / 1e6, 1)
+        .cell(EngineEps / 1e6, 1)
+        .cell(std::string(Buf));
     std::snprintf(Buf, sizeof(Buf),
                   "%s    {\"stage\": \"%s\", \"legacy_s\": %.6f, "
                   "\"engine_s\": %.6f, \"legacy_eps\": %.0f, "
-                  "\"engine_eps\": %.0f, \"speedup\": %.3f",
+                  "\"engine_eps\": %.0f, \"speedup\": %.3f}",
                   FirstStage ? "" : ",\n", StageNames[S], LegacySec,
                   EngineSec, LegacyEps, EngineEps, Speedup);
     Json += Buf;
-    if (HasBc) {
-      std::snprintf(Buf, sizeof(Buf),
-                    ", \"bytecode_s\": %.6f, \"bytecode_eps\": %.0f, "
-                    "\"bytecode_speedup\": %.3f",
-                    BcSec, TotalEvents / BcSec, EngineSec / BcSec);
-      Json += Buf;
-    }
-    if (HasFz) {
-      // fused_speedup is fused vs the engine arm (runFast), the prior
-      // fastest tier — the headline the fusion pass is accountable for.
-      std::snprintf(Buf, sizeof(Buf),
-                    ", \"fused_s\": %.6f, \"fused_eps\": %.0f, "
-                    "\"fused_speedup\": %.3f",
-                    FzSec, TotalEvents / FzSec, EngineSec / FzSec);
-      Json += Buf;
-    }
-    Json += "}";
     FirstStage = false;
   }
   Json += "\n  ]\n}\n";
@@ -1024,10 +843,7 @@ int cmdCheckpointSave(const CommonArgs &A) {
   Interpreter Interp(*P.Bin, P.In);
   Mux.onRunStart(*P.Bin, P.In);
   PipelineCheckpoint C;
-  auto Bc = makeEngine(A, *P.Bin);
-  RunResult R =
-      Bc ? Interp.runBytecodeSegment(*Bc, Mux, nullptr, At, &C.Interp)
-         : Interp.runFastSegment(Mux, nullptr, At, &C.Interp);
+  RunResult R = Interp.runFastSegment(Mux, nullptr, At, &C.Interp);
   // Run framing: a run that completed before the boundary gets its normal
   // end (pop-all + final cut) before states are captured, so resuming the
   // checkpoint is a no-op rather than a duplicate final interval.
@@ -1113,12 +929,8 @@ int cmdCheckpointResume(const CommonArgs &A) {
   RunResult R;
   R.TotalInstrs = Resumed;
   if (!C->Interp.Finished) {
-    // Checkpoints address source structure, not engine state, so the
-    // resuming tier is free to differ from the saving tier.
-    auto Bc = makeEngine(A, *P.Bin);
-    constexpr uint64_t End = std::numeric_limits<uint64_t>::max();
-    R = Bc ? Interp.runBytecodeSegment(*Bc, Mux, &C->Interp, End)
-           : Interp.runFastSegment(Mux, &C->Interp, End);
+    R = Interp.runFastSegment(Mux, &C->Interp,
+                              std::numeric_limits<uint64_t>::max());
     Mux.onRunEnd(R.TotalInstrs);
   }
   std::vector<IntervalRecord> Iv = P.Ivb.takeIntervals();
@@ -1235,19 +1047,16 @@ int cmdDot(const CommonArgs &A) {
   Workload W = WorkloadRegistry::create(A.Positional[0]);
   auto Bin = lower(*W.Program, LoweringOptions::O2());
   LoopIndex Loops = LoopIndex::build(*Bin);
-  auto Bc = makeEngine(A, *Bin);
-  auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train,
-                              std::numeric_limits<uint64_t>::max(), Bc.get());
+  auto G = buildCallLoopGraph(*Bin, Loops, A.UseRef ? W.Ref : W.Train);
   return writeOutput(A.OutPath, printGraphDot(*G)) ? 0 : 1;
 }
 
 /// `spm_tool import`: load a raw edge-list CFG (spm-cfg v1), recover its
 /// structure (dominators, natural loops, reducibility), and print the loop
-/// forest. With --report the recovered program additionally runs through
-/// the whole marker pipeline — profile, select, intervals — on the chosen
-/// execution tier, proving the import is executable, not just parseable.
-/// Trip counts may reference input parameters; --param supplies them and
-/// missing ones are reported up front by name.
+/// forest. With --report the recovered program additionally runs through the
+/// whole marker pipeline — profile, select, intervals — proving the import is
+/// executable, not just parseable. Trip counts may reference input parameters;
+/// --param supplies them and missing ones are reported up front by name.
 int cmdImport(const CommonArgs &A) {
   if (A.Positional.empty()) {
     std::fprintf(stderr, "import: missing CFG file\n");
@@ -1308,14 +1117,10 @@ int cmdImport(const CommonArgs &A) {
     }
     auto Bin = lower(*IP->Program, LoweringOptions::O2());
     LoopIndex Loops = LoopIndex::build(*Bin);
-    auto Bc = makeEngine(A, *Bin);
-    auto G = buildCallLoopGraph(*Bin, Loops, In,
-                                std::numeric_limits<uint64_t>::max(), Bc.get());
+    auto G = buildCallLoopGraph(*Bin, Loops, In);
     SelectionResult Sel = selectMarkers(*G, A.Config);
-    MarkerRun Run = runMarkerIntervals(
-        *Bin, Loops, *G, Sel.Markers, In,
-        /*CollectBbv=*/false, /*RecordFirings=*/false,
-        std::numeric_limits<uint64_t>::max(), PerfModelOptions(), Bc.get());
+    MarkerRun Run = runMarkerIntervals(*Bin, Loops, *G, Sel.Markers, In,
+                                       /*CollectBbv=*/false);
     ClassificationSummary S = summarizeClassification(
         Run.Intervals, phasesFromRecords(Run.Intervals), cpiMetric);
     Table T;
