@@ -169,13 +169,12 @@ bestFixedSize(const Binary &B, const WorkloadInput &In,
 
 /// Profiles a binary and selects reuse markers in one step (the baseline's
 /// offline analysis).
-inline ReuseMarkerSet
-profileReuseMarkers(const Binary &B, const WorkloadInput &In,
-                    const ReuseMarkerConfig &Config = ReuseMarkerConfig()) {
-  ReuseSignalCollector Collector(Config.WindowInstrs);
+inline ReuseMarkerSet profileReuseMarkers(const Binary &B,
+                                          const WorkloadInput &In) {
+  ReuseSignalCollector Collector;
   Interpreter(B, In).runFast(Collector);
   ReuseProfile P = Collector.takeProfile();
-  return selectReuseMarkers(P, Config);
+  return selectReuseMarkers(P);
 }
 
 } // namespace spm

@@ -4,6 +4,7 @@
 
 #include "cfg/Structure.h"
 #include "ir/Builder.h"
+#include "ir/Verify.h"
 #include "support/FailPoint.h"
 
 #include <algorithm>
@@ -488,6 +489,15 @@ std::optional<ImportedProgram> cfg::importCfg(const CfgProgram &P,
   IP.Program = PB.take();
   for (size_t I = 0; I < Prologue.size(); ++I)
     IP.Program->Functions[I]->PrologueIntOps = Prologue[I];
+  // Whole-program checks no single function sees, chiefly that every
+  // call-graph cycle is guarded (a call below probability 1, or one in a
+  // skippable branch arm or loop body) so the program terminates.
+  std::string Diag = verify(*IP.Program);
+  if (!Diag.empty()) {
+    if (Err)
+      *Err = "cfg[verify]: " + Diag;
+    return std::nullopt;
+  }
   return IP;
 }
 

@@ -67,7 +67,9 @@ struct ImportedProgram {
 };
 
 /// Recovers structure from \p P. Returns std::nullopt with a named
-/// diagnostic in \p Err on any malformed or unstructurable graph.
+/// diagnostic in \p Err on any malformed or unstructurable graph, and with
+/// cfg[verify] when the recovered program fails verify(const SourceProgram
+/// &), e.g. an unguarded call-graph cycle that could never terminate.
 std::optional<ImportedProgram> importCfg(const CfgProgram &P,
                                          const ImportOptions &Opts,
                                          std::string *Err);

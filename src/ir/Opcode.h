@@ -58,9 +58,6 @@ struct OpMix {
   }
 };
 
-/// Returns a short mnemonic for an instruction class ("int", "fp", ...).
-const char *opClassName(OpClass C);
-
 } // namespace spm
 
 #endif // SPM_IR_OPCODE_H

@@ -9,22 +9,6 @@
 
 using namespace spm;
 
-const char *spm::opClassName(OpClass C) {
-  switch (C) {
-  case OpClass::IntALU:
-    return "int";
-  case OpClass::FpALU:
-    return "fp";
-  case OpClass::Load:
-    return "ld";
-  case OpClass::Store:
-    return "st";
-  case OpClass::Branch:
-    return "br";
-  }
-  return "?";
-}
-
 namespace {
 
 void indentTo(std::string &Out, unsigned Depth) {

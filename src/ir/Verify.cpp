@@ -71,13 +71,13 @@ private:
       const auto &LS = static_cast<const LoopStmt &>(S);
       if (LS.Trip.K == TripCountSpec::Kind::Schedule && LS.Trip.Values.empty())
         C.fail("loop with empty trip schedule");
-      visit(LS.Body, GuardedDepth);
+      visit(LS.Body, GuardedDepth + mayTripZero(LS.Trip));
       break;
     }
     case Stmt::Kind::If: {
       const auto &IS = static_cast<const IfStmt &>(S);
-      visit(IS.Then, GuardedDepth);
-      visit(IS.Else, GuardedDepth);
+      visit(IS.Then, GuardedDepth + mayEval(IS.Cond, false));
+      visit(IS.Else, GuardedDepth + mayEval(IS.Cond, true));
       break;
     }
     case Stmt::Kind::Call: {
@@ -100,9 +100,45 @@ private:
     }
   }
 
-  /// Every call-graph cycle must contain at least one probability-guarded
-  /// edge, otherwise execution cannot terminate. We check the stronger and
-  /// simpler property that the subgraph of *unguarded* edges is acyclic.
+  /// True when \p C can evaluate to \p Value, i.e. when the arm taken on
+  /// the other value can be skipped.
+  static bool mayEval(const CondSpec &C, bool Value) {
+    switch (C.K) {
+    case CondSpec::Kind::Bernoulli:
+      return Value ? C.P > 0.0 : C.P < 1.0;
+    case CondSpec::Kind::Periodic:
+      return Value ? C.TrueCount > 0 : C.TrueCount < C.Period;
+    }
+    return false;
+  }
+
+  /// True when a loop with trip \p T can run its body zero times. A
+  /// parameter-sized trip counts as non-zero unless its scale is 0: the
+  /// inputs are not known here.
+  static bool mayTripZero(const TripCountSpec &T) {
+    switch (T.K) {
+    case TripCountSpec::Kind::Constant:
+      return T.Value == 0;
+    case TripCountSpec::Kind::Uniform:
+      return T.Lo == 0;
+    case TripCountSpec::Kind::Param:
+      return T.Num == 0;
+    case TripCountSpec::Kind::ParamUniform:
+      return T.LoNum == 0 || T.HiNum == 0;
+    case TripCountSpec::Kind::Schedule:
+      for (uint64_t V : T.Values)
+        if (V == 0)
+          return true;
+      return false;
+    }
+    return false;
+  }
+
+  /// Every call-graph cycle must contain at least one guarded edge, otherwise
+  /// execution cannot terminate. A call is guarded when its own Prob < 1 or
+  /// when it sits in an if-arm or loop body that can be skipped
+  /// (GuardedDepth > 0). We check the stronger and simpler property that
+  /// the subgraph of *unguarded* edges is acyclic.
   void checkGuardedRecursion() {
     size_t N = P.Functions.size();
     std::vector<std::vector<uint32_t>> Adj(N);

@@ -24,8 +24,9 @@ class Binary;
 
 /// Checks \p P for structural validity: at least one function, call targets
 /// in range, memory region references in range, unique statement ids, and a
-/// call graph in which every cycle is probability-guarded (so execution
-/// terminates). Returns an empty string on success, else a diagnostic.
+/// call graph in which every cycle is guarded (so execution terminates): some
+/// call on it has probability below 1, or sits in an if-arm or a loop body
+/// that can be skipped. Returns an empty string on success, else a diagnostic.
 std::string verify(const SourceProgram &P);
 
 /// Checks \p B: strictly increasing block addresses, consistent instruction

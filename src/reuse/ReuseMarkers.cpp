@@ -2,18 +2,23 @@
 
 #include "reuse/ReuseMarkers.h"
 
-#include "reuse/Sequitur.h"
-#include "reuse/Wavelet.h"
 #include "support/Stats.h"
-
-#include <algorithm>
-#include <set>
 
 using namespace spm;
 
+namespace {
+
+// Tunables of the baseline, fixed at the values Fig. 10 uses.
+constexpr double BoundarySigma = 0.75; ///< Change threshold, global stddevs.
+constexpr uint32_t QuantLevels = 4;    ///< Phase labels = quantized level.
+constexpr double MinRecall = 0.4;      ///< Block at >= this share of starts.
+constexpr double MaxFireRatio = 3.0;   ///< Execs <= ratio x credited starts.
+constexpr uint32_t MinBoundaries = 4;  ///< Labels with fewer are ignored.
+
+} // namespace
+
 std::vector<SignalBoundary>
-spm::detectBoundaries(const std::vector<double> &Signal,
-                      const ReuseMarkerConfig &Config) {
+spm::detectBoundaries(const std::vector<double> &Signal) {
   std::vector<SignalBoundary> Out;
   if (Signal.size() < 4)
     return Out;
@@ -21,18 +26,18 @@ spm::detectBoundaries(const std::vector<double> &Signal,
   RunningStat Global;
   for (double S : Signal)
     Global.add(S);
-  double Threshold = Config.BoundarySigma * Global.stddev();
+  double Threshold = BoundarySigma * Global.stddev();
   if (Threshold <= 0)
     return Out;
   double Lo = Global.min(), Hi = Global.max();
   double Span = Hi > Lo ? Hi - Lo : 1.0;
 
   auto Quantize = [&](double V) {
-    auto L = static_cast<int64_t>((V - Lo) / Span * Config.QuantLevels);
+    auto L = static_cast<int64_t>((V - Lo) / Span * QuantLevels);
     if (L < 0)
       L = 0;
-    if (L >= Config.QuantLevels)
-      L = Config.QuantLevels - 1;
+    if (L >= QuantLevels)
+      L = QuantLevels - 1;
     return static_cast<uint32_t>(L);
   };
 
@@ -65,11 +70,10 @@ spm::detectBoundaries(const std::vector<double> &Signal,
 
 namespace {
 
-/// Shared back half of both selectors: credit blocks around boundaries
-/// and promote the gated best per label.
+/// Back half of selectReuseMarkers: credit blocks around boundaries and
+/// promote the gated best per label.
 ReuseMarkerSet creditAndSelect(const ReuseProfile &P,
-                               const std::vector<SignalBoundary> &Bs,
-                               const ReuseMarkerConfig &Config) {
+                               const std::vector<SignalBoundary> &Bs) {
   ReuseMarkerSet M;
   if (Bs.empty())
     return M;
@@ -97,7 +101,7 @@ ReuseMarkerSet creditAndSelect(const ReuseProfile &P,
   // Per label, promote the best block passing recall and fire-ratio gates.
   std::unordered_set<uint32_t> Chosen;
   for (const auto &[Label, NumB] : BoundariesPerLabel) {
-    if (NumB < Config.MinBoundaries)
+    if (NumB < MinBoundaries)
       continue;
     uint32_t BestBlock = 0;
     uint64_t BestCredit = 0;
@@ -105,13 +109,11 @@ ReuseMarkerSet creditAndSelect(const ReuseProfile &P,
     for (const auto &[Key, C] : Credit) {
       if (Key.first != Label)
         continue;
-      if (C < static_cast<uint64_t>(Config.MinRecall *
-                                    static_cast<double>(NumB)))
+      if (C < static_cast<uint64_t>(MinRecall * static_cast<double>(NumB)))
         continue; // Not tied to this label's starts.
       auto ExecIt = P.BlockExecs.find(Key.second);
       uint64_t Execs = ExecIt == P.BlockExecs.end() ? 0 : ExecIt->second;
-      if (static_cast<double>(Execs) >
-          Config.MaxFireRatio * static_cast<double>(C))
+      if (static_cast<double>(Execs) > MaxFireRatio * static_cast<double>(C))
         continue; // Fires far too often elsewhere: would shred phases.
       // Prefer higher recall, then the rarer (more precise) block.
       if (C > BestCredit || (C == BestCredit && Execs < BestExecs)) {
@@ -132,70 +134,6 @@ ReuseMarkerSet creditAndSelect(const ReuseProfile &P,
 
 } // namespace
 
-ReuseMarkerSet spm::selectReuseMarkers(const ReuseProfile &P,
-                                       const ReuseMarkerConfig &Config) {
-  return creditAndSelect(P, detectBoundaries(P.Signal, Config), Config);
-}
-
-ReuseMarkerSet spm::selectReuseMarkersShen(const ReuseProfile &P,
-                                           const ReuseMarkerConfig &Config) {
-  if (P.Signal.size() < 8)
-    return ReuseMarkerSet();
-
-  // 1. Wavelet-denoise the reuse signal (Shen: wavelet filtering removes
-  //    the fine-grained noise so only phase-scale shifts remain).
-  std::vector<double> Smooth =
-      waveletDenoise(P.Signal, /*Levels=*/2, /*ThresholdSigmas=*/1.0);
-
-  // 2. Quantize into phase labels.
-  double Lo = Smooth[0], Hi = Smooth[0];
-  for (double S : Smooth) {
-    Lo = std::min(Lo, S);
-    Hi = std::max(Hi, S);
-  }
-  double Span = Hi > Lo ? Hi - Lo : 1.0;
-  auto Quantize = [&](double V) {
-    auto L = static_cast<int64_t>((V - Lo) / Span * Config.QuantLevels);
-    return static_cast<uint32_t>(
-        std::clamp<int64_t>(L, 0, Config.QuantLevels - 1));
-  };
-
-  // 3. Run-length encode the label stream; each run is one phase segment.
-  std::vector<uint32_t> RleLabels;
-  std::vector<size_t> RleStartWindow;
-  for (size_t I = 0; I < Smooth.size(); ++I) {
-    uint32_t L = Quantize(Smooth[I]);
-    if (RleLabels.empty() || RleLabels.back() != L) {
-      RleLabels.push_back(L);
-      RleStartWindow.push_back(I);
-    }
-  }
-  if (RleLabels.size() < 4)
-    return ReuseMarkerSet(); // One flat phase: nothing to mark.
-
-  // 4. Sequitur over the segment-label stream. If the grammar does not
-  //    compress, the locality behavior has no recurring pattern and the
-  //    method gives up (Shen et al. "found it difficult to find structure
-  //    in more complex programs like gcc and vortex").
-  std::vector<int64_t> Stream(RleLabels.begin(), RleLabels.end());
-  std::vector<SequiturRule> Grammar = induceGrammar(Stream);
-  size_t GrammarSymbols = 0;
-  std::set<int64_t> RecurringLabels;
-  for (const SequiturRule &R : Grammar) {
-    GrammarSymbols += R.Symbols.size();
-    if (R.Id == 0 || R.Uses < 2)
-      continue;
-    for (int64_t T : R.Expansion)
-      RecurringLabels.insert(T);
-  }
-  if (GrammarSymbols * 3 > Stream.size() * 2)
-    return ReuseMarkerSet(); // < 1.5x compression: no structure.
-
-  // 5. Boundaries at the starts of segments whose label belongs to a
-  //    recurring pattern; credit and gate as usual.
-  std::vector<SignalBoundary> Bs;
-  for (size_t I = 1; I < RleLabels.size(); ++I)
-    if (RecurringLabels.count(RleLabels[I]))
-      Bs.push_back({RleStartWindow[I], RleLabels[I]});
-  return creditAndSelect(P, Bs, Config);
+ReuseMarkerSet spm::selectReuseMarkers(const ReuseProfile &P) {
+  return creditAndSelect(P, detectBoundaries(P.Signal));
 }

@@ -38,18 +38,11 @@
 
 namespace spm {
 
-/// Tunables of the reuse-marker baseline.
-struct ReuseMarkerConfig {
-  uint64_t WindowInstrs = 2000;  ///< Signal sampling granularity.
-  double BoundarySigma = 0.75;   ///< Change threshold in global stddevs.
-  uint32_t QuantLevels = 4;      ///< Phase labels = quantized signal level.
-  double MinRecall = 0.4;        ///< Block at >= this share of boundaries.
-  double MaxFireRatio = 3.0;     ///< Execs <= ratio x credited boundaries.
-  uint32_t MinBoundaries = 4;    ///< Labels with fewer boundaries ignored.
-};
-
 /// Profile gathered in one instrumented run.
 struct ReuseProfile {
+  /// Signal sampling granularity, in instructions per window.
+  static constexpr uint64_t WindowInstrs = 2000;
+
   /// Cap on distinct blocks remembered per window. Phase-entry blocks (the
   /// useful marker candidates) execute somewhere inside the transition
   /// window, not necessarily first, so the whole (small) distinct set is
@@ -64,9 +57,6 @@ struct ReuseProfile {
 /// Observer that samples the reuse-distance signal.
 class ReuseSignalCollector : public ExecutionObserver {
 public:
-  explicit ReuseSignalCollector(uint64_t WindowInstrs)
-      : WindowInstrs(WindowInstrs) {}
-
   void onBlock(const LoweredBlock &Blk) override {
     if (Lead.size() < ReuseProfile::MaxBlocksPerWindow) {
       bool Seen = false;
@@ -77,7 +67,7 @@ public:
     }
     ++P.BlockExecs[Blk.GlobalId];
     InstrsInWindow += Blk.NumInstrs;
-    if (InstrsInWindow >= WindowInstrs)
+    if (InstrsInWindow >= ReuseProfile::WindowInstrs)
       finishWindow();
   }
 
@@ -111,7 +101,6 @@ private:
     InstrsInWindow = 0;
   }
 
-  uint64_t WindowInstrs;
   ReuseDistanceTracker Tracker;
   ReuseProfile P;
   std::vector<uint32_t> Lead;
@@ -137,25 +126,13 @@ struct SignalBoundary {
 };
 
 /// Finds change points: a window whose signal departs from the running
-/// mean of the current segment by more than BoundarySigma global stddevs.
-std::vector<SignalBoundary>
-detectBoundaries(const std::vector<double> &Signal,
-                 const ReuseMarkerConfig &Config);
+/// mean of the current segment by more than 0.75 global stddevs.
+std::vector<SignalBoundary> detectBoundaries(const std::vector<double> &Signal);
 
 /// Selects reuse markers from a profile with the windowed change-point
 /// detector. Returns an empty set when no block passes the recall /
 /// precision gates (irregular programs).
-ReuseMarkerSet selectReuseMarkers(const ReuseProfile &P,
-                                  const ReuseMarkerConfig &Config);
-
-/// The fuller Shen-style pipeline: Haar-wavelet denoising of the reuse
-/// signal, quantized phase labels, and Sequitur grammar induction over the
-/// label stream. Selection bails out entirely when the grammar does not
-/// compress (no recurring locality structure — the gcc/vortex failure mode
-/// the paper quotes); otherwise boundaries at recurring pattern starts are
-/// credited exactly as in selectReuseMarkers.
-ReuseMarkerSet selectReuseMarkersShen(const ReuseProfile &P,
-                                      const ReuseMarkerConfig &Config);
+ReuseMarkerSet selectReuseMarkers(const ReuseProfile &P);
 
 /// Online detector: fires the callback when a marker block executes.
 class ReuseMarkerRuntime : public ExecutionObserver {

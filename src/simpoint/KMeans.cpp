@@ -228,7 +228,10 @@ KMeansResult
 spm::pickClustering(const std::vector<std::vector<double>> &Pts,
                     const std::vector<double> &W,
                     const std::vector<uint32_t> &Ks, uint64_t Seed,
-                    double BicThreshold, int Restarts) {
+                    int Restarts) {
+  // SimPoint's BIC threshold: the share of the observed BIC range a
+  // clustering must reach.
+  constexpr double BicThreshold = 0.9;
   assert(!Ks.empty() && "no candidate cluster counts");
   // Each candidate k is an independent clustering with its own seed; fan
   // them out. Restarts nested inside each kmeansCluster call then run

@@ -68,11 +68,11 @@ double bicScore(const std::vector<std::vector<double>> &Points,
 
 /// The SimPoint model-selection rule: cluster for each k in \p Ks and
 /// return the result with the smallest k whose BIC reaches
-/// minBIC + \p BicThreshold * (maxBIC - minBIC).
+/// minBIC + 0.9 * (maxBIC - minBIC).
 KMeansResult pickClustering(const std::vector<std::vector<double>> &Points,
                             const std::vector<double> &Weights,
                             const std::vector<uint32_t> &Ks, uint64_t Seed,
-                            double BicThreshold = 0.9, int Restarts = 5);
+                            int Restarts = 5);
 
 } // namespace spm
 

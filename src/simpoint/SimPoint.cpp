@@ -24,17 +24,14 @@ SimPointResult spm::runSimPoint(const std::vector<IntervalRecord> &Ivs,
   for (uint32_t K = 1; K <= Config.KMax && K <= Ivs.size(); ++K)
     Ks.push_back(K);
 
-  KMeansResult KM = pickClustering(Pts, W, Ks, Config.Seed,
-                                   Config.BicThreshold, Config.Restarts);
+  KMeansResult KM = pickClustering(Pts, W, Ks, Config.Seed, Config.Restarts);
   Out.K = KM.K;
   Out.Assign = KM.Assign;
 
-  // Per cluster: instruction mass and the representative interval — the
-  // one nearest the centroid, or with EarlyTolerance the earliest one
-  // close enough to the centroid (early simulation points, [22]).
+  // Per cluster: instruction mass and the representative interval, the
+  // one nearest the centroid.
   uint64_t TotalInstrs = totalInstructions(Ivs);
   std::vector<uint64_t> Mass(KM.K, 0);
-  std::vector<double> Dist(Ivs.size(), 0.0);
   std::vector<double> BestD(KM.K, std::numeric_limits<double>::infinity());
   std::vector<int64_t> BestIdx(KM.K, -1);
   for (size_t I = 0; I < Ivs.size(); ++I) {
@@ -45,28 +42,11 @@ SimPointResult spm::runSimPoint(const std::vector<IntervalRecord> &Ivs,
       double T = Pts[I][X] - KM.Centroids[C][X];
       D += T * T;
     }
-    Dist[I] = D;
     if (D < BestD[C]) {
       BestD[C] = D;
       BestIdx[C] = static_cast<int64_t>(I);
     }
   }
-  if (Config.EarlyTolerance > 0.0) {
-    // Second pass in interval order: the first member of each cluster
-    // within tolerance of that cluster's best distance wins.
-    std::vector<int64_t> EarlyIdx(KM.K, -1);
-    for (size_t I = 0; I < Ivs.size(); ++I) {
-      auto C = static_cast<uint32_t>(KM.Assign[I]);
-      if (EarlyIdx[C] >= 0)
-        continue;
-      if (Dist[I] <= BestD[C] * (1.0 + Config.EarlyTolerance) + 1e-12)
-        EarlyIdx[C] = static_cast<int64_t>(I);
-    }
-    for (uint32_t C = 0; C < KM.K; ++C)
-      if (EarlyIdx[C] >= 0)
-        BestIdx[C] = EarlyIdx[C];
-  }
-
   for (uint32_t C = 0; C < KM.K; ++C) {
     if (BestIdx[C] < 0)
       continue; // Empty cluster.

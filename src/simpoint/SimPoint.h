@@ -35,18 +35,9 @@ struct SimPointConfig {
   uint32_t KMax = 10;   ///< Largest cluster count tried.
   uint64_t Seed = 42;
   int Restarts = 5;
-  double BicThreshold = 0.9;
   /// Weight intervals by instruction count (SimPoint 3.0 VLI). Off, every
   /// interval counts equally (SimPoint 2.0 fixed-length).
   bool WeightByLength = false;
-
-  /// Early simulation points (Perelman, Hamerly & Calder, PACT'03 — the
-  /// paper's reference [22]): when > 0, each cluster picks the *earliest*
-  /// interval whose distance to the centroid is within (1+EarlyTolerance)
-  /// of the minimum, trading a little representativeness for much less
-  /// fast-forwarding before each simulation point. 0 picks the closest
-  /// interval regardless of position.
-  double EarlyTolerance = 0.0;
 };
 
 /// One chosen simulation point.

@@ -25,7 +25,6 @@ Table &Table::cell(const std::string &S) {
 }
 
 Table &Table::cell(uint64_t V) { return cell(std::to_string(V)); }
-Table &Table::cell(int64_t V) { return cell(std::to_string(V)); }
 
 Table &Table::cell(double V, int Precision) {
   return cell(formatDouble(V, Precision));
@@ -71,31 +70,6 @@ std::string Table::str() const {
       Out.append(Total, '-');
       Out += '\n';
     }
-  }
-  return Out;
-}
-
-std::string Table::csv() const {
-  std::string Out;
-  for (const auto &Row : Rows) {
-    for (size_t I = 0; I < Row.size(); ++I) {
-      if (I)
-        Out += ',';
-      const std::string &Cell = Row[I];
-      bool NeedsQuote = Cell.find_first_of(",\"\n") != std::string::npos;
-      if (!NeedsQuote) {
-        Out += Cell;
-        continue;
-      }
-      Out += '"';
-      for (char C : Cell) {
-        if (C == '"')
-          Out += '"';
-        Out += C;
-      }
-      Out += '"';
-    }
-    Out += '\n';
   }
   return Out;
 }

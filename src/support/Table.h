@@ -7,8 +7,7 @@
 ///
 /// \file
 /// A tiny column-aligned table builder used by the benchmark harnesses to
-/// print the rows/series the paper's figures report, plus a CSV emitter so
-/// results can be replotted.
+/// print the rows/series the paper's figures report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +33,6 @@ public:
 
   /// Appends an integer cell.
   Table &cell(uint64_t V);
-  Table &cell(int64_t V);
-  Table &cell(int V) { return cell(static_cast<int64_t>(V)); }
   Table &cell(unsigned V) { return cell(static_cast<uint64_t>(V)); }
 
   /// Appends a floating-point cell with \p Precision decimal places.
@@ -46,9 +43,6 @@ public:
 
   /// Renders the table with space-padded columns; header row is underlined.
   std::string str() const;
-
-  /// Renders as CSV (no padding, comma separated, quotes only when needed).
-  std::string csv() const;
 
   size_t numRows() const { return Rows.size(); }
 

@@ -39,13 +39,6 @@ RunResult Interpreter::run(ExecutionObserver &Obs, uint64_t MaxInstrsIn) {
   return runFast(Obs, MaxInstrsIn);
 }
 
-RunResult Interpreter::runSegment(ExecutionObserver &Obs,
-                                  const InterpCheckpoint *From,
-                                  uint64_t UntilInstrs,
-                                  InterpCheckpoint *Out) {
-  return runFastSegment(Obs, From, UntilInstrs, Out);
-}
-
 void Interpreter::snapshotState(InterpCheckpoint &C) const {
   C.TotalInstrs = Result.TotalInstrs;
   C.TotalBlocks = Result.TotalBlocks;

@@ -163,7 +163,8 @@ public:
   // restored RNG state at the same position in the draw sequence.
   //===--------------------------------------------------------------------===//
 
-  /// Devirtualized segment (StaticEmitter, like runFast).
+  /// Segment through a StaticEmitter, like runFast; ObsT =
+  /// ExecutionObserver dispatches every event virtually.
   template <class ObsT>
   RunResult runFastSegment(ObsT &Obs, const InterpCheckpoint *From,
                            uint64_t UntilInstrs,
@@ -171,11 +172,6 @@ public:
     StaticEmitter<ObsT> E{Obs};
     return segmentT(E, From, UntilInstrs, Out);
   }
-
-  /// Virtual-dispatch segment: runFastSegment on ExecutionObserver, like
-  /// run().
-  RunResult runSegment(ExecutionObserver &Obs, const InterpCheckpoint *From,
-                       uint64_t UntilInstrs, InterpCheckpoint *Out = nullptr);
 
   /// Resolved byte size of region \p Idx under the constructor's input.
   uint64_t regionSize(uint32_t Idx) const {

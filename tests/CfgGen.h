@@ -391,7 +391,14 @@ private:
       }
       if (R.nextBool(0.2))
         for (auto &C : Cands)
-          C.Weight = 0; // All-zero weights: the uniform-fallback path.
+          C.Weight = 0; // Zero-weight candidates are never drawn...
+      // ...but verify() rejects a site whose weights sum to zero, so the
+      // first candidate keeps the draw defined.
+      uint32_t Total = 0;
+      for (const auto &C : Cands)
+        Total += C.Weight;
+      if (Total == 0)
+        Cands[0].Weight = 1;
       RoundRobin = R.nextBool(0.3);
       Prob = AllForward ? 1.0 : 0.1 + 0.35 * R.nextDouble();
     }

@@ -343,6 +343,63 @@ TEST(CfgStructure, NegativeSuite) {
       "loop-multiple-latches");
 }
 
+// Whole-program checks run after recovery: a call cycle with no
+// probability gate could never terminate (the interpreter would cut it off
+// at MaxCallDepth and report a silently truncated run), and a dispatch
+// site whose weights sum to zero has no defined draw.
+TEST(CfgStructure, WholeProgramVerifyRejectsByName) {
+  auto twoFuncs = [](const std::string &MainCall,
+                     const std::string &HelperCall) {
+    return "spm-cfg v1\nprogram rec\nfunc 0 main\nentry 0\nblock 0\n"
+           "block 1 call=" + MainCall + "\nblock 2\nedge 0 1\nedge 1 2\n"
+           "func 1 helper\nentry 3\nblock 3\nblock 4 call=" + HelperCall +
+           "\nblock 5\nedge 3 4\nedge 4 5\n";
+  };
+  auto importErr = [](const std::string &Text) {
+    std::string Err;
+    std::optional<CfgProgram> P = cfg::parseCfg(Text, &Err);
+    EXPECT_TRUE(P.has_value()) << Err;
+    if (!P)
+      return Err;
+    EXPECT_FALSE(cfg::importCfg(*P, {}, &Err).has_value());
+    return Err;
+  };
+  EXPECT_EQ(importErr(twoFuncs("1;0;1*1", "1;0;0*1")),
+            "cfg[verify]: unguarded call-graph cycle through function "
+            "'main'");
+  EXPECT_EQ(importErr(twoFuncs("1;0;1*0,1*0", "0.5;0;0*1")),
+            "cfg[verify]: call site with zero total weight");
+  // The same cycle gated below probability 1 terminates and imports.
+  importOrDie(twoFuncs("1;0;1*1", "0.5;0;0*1"));
+}
+
+TEST(CfgStructure, BranchGuardedRecursionImportsAndRuns) {
+  // helper's call back to main is unconditional, but it sits in one arm of
+  // a bernoulli:0.3 branch: the recursion ends with probability 1.
+  auto recursive = [](const std::string &Cond) {
+    return "spm-cfg v1\nprogram rec\nfunc 0 main\nentry 0\nblock 0 int=2\n"
+           "block 1 call=1;0;1*1\nblock 2\nedge 0 1\nedge 1 2\n"
+           "func 1 helper\nentry 3\nblock 3 int=3\nblock 4 cond=" +
+           Cond +
+           "\nblock 5 call=1;0;0*1\nblock 6\nedge 3 4\nedge 4 5\n"
+           "edge 4 6\nedge 5 6\n";
+  };
+  ImportedProgram IP = importOrDie(recursive("bernoulli:0.3"));
+  std::unique_ptr<Binary> B = lower(*IP.Program, LoweringOptions::O2());
+  WorkloadInput In("rec", 5);
+  diffOneProgram(*B, In, "branch-guarded-recursion");
+  RecordingObserver Obs;
+  EXPECT_FALSE(Interpreter(*B, In).runFast(Obs, FuzzCap).HitInstrLimit);
+
+  // An always-taken branch guards nothing.
+  std::string Err;
+  std::optional<CfgProgram> P = cfg::parseCfg(recursive("bernoulli:1"), &Err);
+  ASSERT_TRUE(P.has_value()) << Err;
+  EXPECT_FALSE(cfg::importCfg(*P, {}, &Err).has_value());
+  EXPECT_EQ(Err, "cfg[verify]: unguarded call-graph cycle through function "
+                 "'main'");
+}
+
 TEST(CfgStructure, IrreducibleRejectedByName) {
   std::string Err;
   std::optional<CfgProgram> P = cfg::parseCfg(Irreducible, &Err);

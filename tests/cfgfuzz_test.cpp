@@ -100,9 +100,9 @@ TEST(CfgFuzz, ArtifactDifferential) {
   }
 }
 
-// Segmented re-execution alternating runFastSegment and the virtual
-// runSegment at random split points: the chained stream equals the
-// straight run.
+// Segmented re-execution alternating runFastSegment on the concrete
+// observer and on ExecutionObserver (virtual dispatch) at random split
+// points: the chained stream equals the straight run.
 TEST(CfgFuzz, CheckpointRotation) {
   size_t Suspended = 0;
   for (uint64_t Round = 0; Round < 40; ++Round) {
@@ -130,7 +130,9 @@ TEST(CfgFuzz, CheckpointRotation) {
     for (size_t S = 0; S < Until.size(); ++S) {
       InterpCheckpoint *Out = &Cks[S % 2];
       Interpreter I(*B, In);
-      RLast = S % 2 ? I.runSegment(Chained, From, Until[S], Out)
+      RLast = S % 2 ? I.runFastSegment(
+                          static_cast<ExecutionObserver &>(Chained), From,
+                          Until[S], Out)
                     : I.runFastSegment(Chained, From, Until[S], Out);
       if (!Out->Finished && !Out->Frames.empty())
         ++Suspended;

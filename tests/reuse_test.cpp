@@ -76,8 +76,7 @@ TEST(ReuseBoundaries, DetectsLevelShifts) {
     Sig.push_back(10.0);
   for (int I = 0; I < 20; ++I)
     Sig.push_back(2.0);
-  ReuseMarkerConfig C;
-  auto Bs = detectBoundaries(Sig, C);
+  auto Bs = detectBoundaries(Sig);
   ASSERT_EQ(Bs.size(), 2u);
   EXPECT_EQ(Bs[0].Window, 20u);
   EXPECT_EQ(Bs[1].Window, 40u);
@@ -86,7 +85,7 @@ TEST(ReuseBoundaries, DetectsLevelShifts) {
 
 TEST(ReuseBoundaries, FlatSignalHasNone) {
   std::vector<double> Sig(50, 3.0);
-  EXPECT_TRUE(detectBoundaries(Sig, ReuseMarkerConfig()).empty());
+  EXPECT_TRUE(detectBoundaries(Sig).empty());
 }
 
 TEST(ReuseBoundaries, NoiseWithoutStructureFindsNoStableLabels) {
@@ -95,7 +94,7 @@ TEST(ReuseBoundaries, NoiseWithoutStructureFindsNoStableLabels) {
   for (int I = 0; I < 200; ++I)
     Sig.push_back(R.nextDouble() * 20.0);
   // Boundaries fire everywhere on white noise...
-  auto Bs = detectBoundaries(Sig, ReuseMarkerConfig());
+  auto Bs = detectBoundaries(Sig);
   EXPECT_GT(Bs.size(), 20u);
   // ...which is exactly why the recall/precision gates must reject blocks
   // later (tested end-to-end below on the gcc workload).

@@ -604,7 +604,8 @@ TEST(ShardFuzz, RandomBoundariesPreserveEventStream) {
         Interpreter Interp(*B, W.Ref);
         InterpCheckpoint *Out =
             S + 1 < Until.size() ? &Cks[S % 2] : nullptr;
-        R = Interp.runSegment(Got, From, Until[S], Out);
+        R = Interp.runFastSegment(static_cast<ExecutionObserver &>(Got),
+                                  From, Until[S], Out);
         From = Out;
       }
       expectSameRun(RefR, R, Ctx + " (virtual)");

@@ -353,32 +353,19 @@ TEST(Table, PercentCell) {
   EXPECT_NE(T.str().find("12.3%"), std::string::npos);
 }
 
-TEST(Table, CsvEscapesCommas) {
-  Table T;
-  T.row().cell("a,b").cell("plain");
-  EXPECT_EQ(T.csv(), "\"a,b\",plain\n");
-}
-
 TEST(Table, FormatDouble) {
   EXPECT_EQ(formatDouble(1.5, 2), "1.50");
   EXPECT_EQ(formatDouble(-0.125, 3), "-0.125");
   EXPECT_EQ(formatDouble(2.0, 0), "2");
 }
 
-TEST(Table, CsvEscapesQuotesAndNewlines) {
-  Table T;
-  T.row().cell("say \"hi\"").cell("two\nlines");
-  EXPECT_EQ(T.csv(), "\"say \"\"hi\"\"\",\"two\nlines\"\n");
-}
-
 TEST(Table, NegativeAndRowCount) {
   Table T;
   EXPECT_EQ(T.numRows(), 0u);
-  T.row().cell("delta").cell(int64_t{-42});
+  T.row().cell("delta").cell("-42");
   T.row().cell("count").cell(7u);
   EXPECT_EQ(T.numRows(), 2u);
   EXPECT_NE(T.str().find("-42"), std::string::npos);
-  EXPECT_EQ(T.csv(), "delta,-42\ncount,7\n");
 }
 
 TEST(Table, RaggedRowsRender) {
@@ -386,9 +373,7 @@ TEST(Table, RaggedRowsRender) {
   Table T;
   T.row().cell("a").cell("b").cell("c");
   T.row().cell("only");
-  std::string S = T.str();
-  EXPECT_NE(S.find("only"), std::string::npos);
-  EXPECT_EQ(T.csv(), "a,b,c\nonly\n");
+  EXPECT_EQ(T.str(), "a     b  c\n----------\nonly\n");
 }
 
 //===----------------------------------------------------------------------===//

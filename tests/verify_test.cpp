@@ -157,6 +157,78 @@ TEST(VerifySource, GuardedMutualRecursionOk) {
   EXPECT_EQ(verify(*P), "");
 }
 
+namespace {
+
+/// A self-recursive function whose only call sits inside whatever
+/// \p Wrap appends around it.
+std::string verifySelfCallIn(
+    const std::function<void(FunctionBuilder &, std::function<void()>)>
+        &Wrap) {
+  ProgramBuilder PB("self");
+  uint32_t A = PB.declare("a");
+  PB.define(A, [&](FunctionBuilder &F) {
+    F.code(1);
+    Wrap(F, [&] { F.call(A); });
+  });
+  return verify(*PB.take());
+}
+
+} // namespace
+
+TEST(VerifySource, SkippableArmGuardsRecursion) {
+  using Body = std::function<void()>;
+  // Each arm guards exactly when the predicate can take the other one.
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::bernoulli(0.3), Call);
+            }),
+            "");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::bernoulli(0.3), [&] { F.code(1); }, Call);
+            }),
+            "");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::periodic(3, 2), Call);
+            }),
+            "");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::bernoulli(1.0), Call);
+            }),
+            "unguarded call-graph cycle through function 'a'");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::bernoulli(0.0), [&] { F.code(1); }, Call);
+            }),
+            "unguarded call-graph cycle through function 'a'");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::periodic(3, 3), Call);
+            }),
+            "unguarded call-graph cycle through function 'a'");
+  EXPECT_EQ(verifySelfCallIn([](FunctionBuilder &F, Body Call) {
+              F.branch(CondSpec::periodic(3, 0), [&] { F.code(1); }, Call);
+            }),
+            "unguarded call-graph cycle through function 'a'");
+}
+
+TEST(VerifySource, ZeroTripLoopGuardsRecursion) {
+  using Body = std::function<void()>;
+  auto inLoop = [](TripCountSpec T) {
+    return verifySelfCallIn(
+        [&](FunctionBuilder &F, Body Call) { F.loop(T, Call); });
+  };
+  TripCountSpec Sched;
+  Sched.K = TripCountSpec::Kind::Schedule;
+  Sched.Values = {2, 0, 1};
+  EXPECT_EQ(inLoop(TripCountSpec::uniform(0, 1)), "");
+  EXPECT_EQ(inLoop(Sched), "");
+  EXPECT_EQ(inLoop(TripCountSpec::param("n", 0)), "");
+  Sched.Values = {2, 1};
+  const std::string Cycle = "unguarded call-graph cycle through function 'a'";
+  EXPECT_EQ(inLoop(TripCountSpec::uniform(1, 3)), Cycle);
+  EXPECT_EQ(inLoop(TripCountSpec::constant(4)), Cycle);
+  EXPECT_EQ(inLoop(Sched), Cycle);
+  // The inputs are unknown here, so a parameter-sized trip may not be 0.
+  EXPECT_EQ(inLoop(TripCountSpec::param("n")), Cycle);
+}
+
 //===----------------------------------------------------------------------===//
 // Binary verifier
 //===----------------------------------------------------------------------===//
