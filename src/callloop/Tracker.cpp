@@ -66,51 +66,6 @@ void CallLoopTracker::onReturn(uint32_t Callee) {
   }
 }
 
-TrackerCheckpoint CallLoopTracker::saveState() const {
-  TrackerCheckpoint St;
-  St.Stack.reserve(Stack.size());
-  for (const Frame &F : Stack)
-    St.Stack.push_back({static_cast<uint8_t>(F.K), F.Node, F.EdgeFrom,
-                        F.Hier, F.LoopId, F.FuncId});
-  St.ActiveDepth = ActiveDepth;
-  return St;
-}
-
-bool CallLoopTracker::restoreState(const TrackerCheckpoint &St) {
-  if (St.ActiveDepth.size() != B.Funcs.size())
-    return false;
-  if (St.Stack.empty() ||
-      static_cast<NodeKind>(St.Stack[0].K) != NodeKind::Root)
-    return false;
-  for (const TrackerCheckpoint::FrameState &F : St.Stack) {
-    if (F.K > static_cast<uint8_t>(NodeKind::LoopBody))
-      return false;
-    if (F.Node >= G.numNodes() || F.EdgeFrom >= G.numNodes())
-      return false;
-    NodeKind K = static_cast<NodeKind>(F.K);
-    if ((K == NodeKind::LoopHead || K == NodeKind::LoopBody) &&
-        (F.LoopId < 0 || static_cast<size_t>(F.LoopId) >= Loops.size()))
-      return false;
-    if (F.FuncId >= B.Funcs.size() && K != NodeKind::Root)
-      return false;
-  }
-
-  Stack.clear();
-  Stack.reserve(St.Stack.size());
-  for (const TrackerCheckpoint::FrameState &F : St.Stack) {
-    NodeKind K = static_cast<NodeKind>(F.K);
-    uint32_t EdgeId =
-        (PG && K != NodeKind::Root)
-            ? internCached(K, F.Node, F.EdgeFrom, F.LoopId, F.FuncId)
-            : ~0u;
-    Stack.push_back({K, F.Node, F.EdgeFrom, F.Hier, F.LoopId, F.FuncId,
-                     EdgeId});
-  }
-  refreshRegion();
-  ActiveDepth = St.ActiveDepth;
-  return true;
-}
-
 void CallLoopTracker::onRunEnd(uint64_t TotalInstrs) {
   (void)TotalInstrs;
   // Normal termination leaves main's body/head; a truncated run (instruction

@@ -61,24 +61,6 @@ public:
   }
 };
 
-/// Mutable state of a CallLoopTracker at a segment boundary: the shadow
-/// stack (with each open frame's partial hierarchical count) and the
-/// per-function activation depths. Carrying the open frames is what makes
-/// boundary-spanning traversals exact across a checkpoint — the closing
-/// segment finishes the count the opening segment started.
-struct TrackerCheckpoint {
-  struct FrameState {
-    uint8_t K = 0; ///< NodeKind.
-    NodeId Node = RootNode;
-    NodeId EdgeFrom = RootNode;
-    uint64_t Hier = 0;
-    int32_t LoopId = -1;
-    uint32_t FuncId = 0;
-  };
-  std::vector<FrameState> Stack;
-  std::vector<uint32_t> ActiveDepth;
-};
-
 /// The shadow-stack observer. Register listeners before running.
 class CallLoopTracker : public ExecutionObserver {
 public:
@@ -115,17 +97,6 @@ public:
 
   /// Current shadow-stack depth (for tests).
   size_t depth() const { return Stack.size(); }
-
-  /// Snapshots the shadow stack and activation depths at a segment
-  /// boundary.
-  TrackerCheckpoint saveState() const;
-
-  /// Silently rebuilds the tracker from a boundary snapshot: no listener
-  /// events fire (the opening segment already fired the onEdgeBegin events
-  /// for the frames being restored), and edge ids are re-interned when a
-  /// profile target is set. Returns false on shape mismatch with the bound
-  /// binary.
-  bool restoreState(const TrackerCheckpoint &St);
 
 private:
   struct Frame {

@@ -469,7 +469,7 @@ private:
 std::optional<ImportedProgram> cfg::importCfg(const CfgProgram &P,
                                               const ImportOptions &Opts,
                                               std::string *Err) {
-  SPM_FAILPOINT("cfg.import");
+  failpointCheck("cfg.import");
   ImportedProgram IP;
   ProgramBuilder PB(P.Name);
   for (const MemRegionSpec &R : P.Regions)

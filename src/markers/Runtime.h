@@ -30,14 +30,6 @@
 
 namespace spm {
 
-/// Mutable state of a MarkerRuntime: the iteration-grouping counters and
-/// the firing total. The CSR lookup tables are static (rebuilt from the
-/// marker set and graph) and not part of the state.
-struct MarkerRuntimeState {
-  std::vector<uint64_t> GroupCounter;
-  uint64_t Fired = 0;
-};
-
 /// Fires callbacks when markers execute. All per-event lookups go through
 /// flat CSR tables keyed by the edge's destination node — no hashing on the
 /// hot path; a row holds the (rare) markers and counter resets anchored at
@@ -112,18 +104,6 @@ public:
 
   /// Total marker firings so far.
   uint64_t fireCount() const { return Fired; }
-
-  MarkerRuntimeState saveState() const { return {GroupCounter, Fired}; }
-
-  /// Restores a snapshot from a runtime built over the same marker set;
-  /// returns false (no change) when the counter shape does not match.
-  bool restoreState(const MarkerRuntimeState &St) {
-    if (St.GroupCounter.size() != GroupCounter.size())
-      return false;
-    GroupCounter = St.GroupCounter;
-    Fired = St.Fired;
-    return true;
-  }
 
 private:
   const MarkerSet &M;

@@ -14,8 +14,7 @@
 ///
 /// The integer totals obey an exactness invariant the differential suite
 /// pins (tests/attribution_test.cpp): summed across phases they equal the
-/// run's global counters, bit-exact however many checkpoint segments the
-/// run was split into.
+/// run's global counters, bit-exact.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,8 +8,8 @@
 /// \file
 /// The write half of the crash-consistency contract (docs/robustness.md):
 /// a destination file either keeps its old contents or holds the complete
-/// new contents — never a torn prefix. Every spm_tool output (checkpoints,
-/// profiles, bench JSON, traces, metrics) goes through here.
+/// new contents — never a torn prefix. Every spm_tool output (profiles,
+/// bench JSON, traces, metrics) goes through here.
 ///
 /// Discipline: write to a unique temp file beside the destination
 /// (`<path>.tmp.<pid>.<seq>`), fsync it, rename() over the destination

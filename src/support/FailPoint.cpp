@@ -1,4 +1,4 @@
-//===- support/FailPoint.cpp - Compile-time-gated fault injection ---------===//
+//===- support/FailPoint.cpp - Deterministic fault injection --------------===//
 //
 // Part of the SPM project: reproduction of "Selecting Software Phase Markers
 // with Code Structure Analysis" (CGO 2006).
@@ -18,22 +18,17 @@
 namespace spm {
 
 const std::vector<std::string> &failpointSeamNames() {
-  // One name per SPM_FAILPOINT / failpointEval site. Keep sorted; the
+  // One name per failpointCheck / failpointEval site. Keep sorted; the
   // kill-at-every-seam fuzz and docs/robustness.md mirror this list.
   static const std::vector<std::string> Names = {
       "bench.write",   // bench JSON emit (tools/spm_tool.cpp)
       "cfg.import",    // importCfg (cfg/Import.cpp)
-      "ckpt.read",     // parseCheckpoint (markers/Checkpoint.cpp)
-      "ckpt.serialize",// serializeCheckpoint (markers/Checkpoint.cpp)
-      "ckpt.write",    // checkpoint file emit (tools/spm_tool.cpp)
       "metrics.write", // --metrics-out emit (tools/spm_tool.cpp)
       "tool.write",    // any other spm_tool output file
       "trace.write",   // --trace-out emit (tools/spm_tool.cpp)
   };
   return Names;
 }
-
-#if SPM_FAILPOINTS_ENABLED
 
 namespace {
 
@@ -213,18 +208,5 @@ FailAction failpointEval(const char *Name) {
   }
   return Act;
 }
-
-#else // !SPM_FAILPOINTS_ENABLED
-
-bool failpointsConfigure(const std::string &Spec, std::string *Err) {
-  if (Spec.empty())
-    return true;
-  if (Err)
-    *Err = "fault injection is compiled out (SPM_FAILPOINTS=OFF); cannot arm '" +
-           Spec + "'";
-  return false;
-}
-
-#endif // SPM_FAILPOINTS_ENABLED
 
 } // namespace spm

@@ -1,4 +1,4 @@
-//===- support/FailPoint.h - Compile-time-gated fault injection -*- C++ -*-===//
+//===- support/FailPoint.h - Deterministic fault injection ------*- C++ -*-===//
 //
 // Part of the SPM project: reproduction of "Selecting Software Phase Markers
 // with Code Structure Analysis" (CGO 2006).
@@ -7,27 +7,22 @@
 ///
 /// \file
 /// Named failpoints for deterministic fault injection at the durability
-/// seams (checkpoint serialize/write/read, CFG import, and every spm_tool
-/// file writer). The fault fuzz suite
-/// (tests/faultfuzz_test.cpp, ctest label "fault") arms them to prove
-/// crash-then-resume reproduces uninterrupted runs byte-for-byte;
+/// seams (CFG import and every spm_tool file writer). The fault fuzz suite
+/// (tests/faultfuzz_test.cpp, ctest label "fault") arms each one, proves it
+/// faults its operation, and proves the re-run heals byte for byte;
 /// docs/robustness.md is the contract.
 ///
-/// Gating follows the SPM_TRACE model (Trace.h), in order of cheapness:
+/// Failpoints are always compiled in and cost, in order of cheapness:
 ///
-///   - Compiled out (`-DSPM_FAILPOINTS=OFF`, SPM_FAILPOINTS_ENABLED == 0):
-///     every SPM_FAILPOINT site collapses to nothing; configuring a
-///     non-empty spec fails loudly instead of silently not injecting.
-///   - Compiled in, nothing armed (the default): one relaxed atomic load
-///     and a predictable branch per site. Sites sit at file/section/leg
-///     granularity — never per interpreter event — so the hot stages are
-///     unaffected (see docs/robustness.md for the measurement).
+///   - Nothing armed (the default): one relaxed atomic load and a
+///     predictable branch per site. Sites sit at file/section granularity —
+///     never per interpreter event — so the hot stages are unaffected.
 ///   - Armed: a mutex-guarded table lookup per site. Fault injection is a
 ///     test-only mode; nothing here is on a measured path once armed.
 ///
 /// Activation is a deterministic spec string, e.g.
 ///
-///     ckpt.write=partial:3,ckpt.read=throw:every:2
+///     tool.write=partial:3,cfg.import=throw:every:2
 ///
 ///     spec  := point ( "," point )*
 ///     point := name "=" mode
@@ -48,21 +43,12 @@
 #ifndef SPM_SUPPORT_FAILPOINT_H
 #define SPM_SUPPORT_FAILPOINT_H
 
-// The CMake option SPM_FAILPOINTS defines this for every target; standalone
-// inclusion defaults to compiled-in.
-#ifndef SPM_FAILPOINTS_ENABLED
-#define SPM_FAILPOINTS_ENABLED 1
-#endif
-
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace spm {
-
-/// True when the framework is compiled in (SPM_FAILPOINTS=ON builds).
-constexpr bool failpointsCompiledIn() { return SPM_FAILPOINTS_ENABLED != 0; }
 
 /// The exception an armed `throw` failpoint raises. Carries the failpoint
 /// name so recovery code (fuzz harnesses, the crash dump) can assert which
@@ -90,11 +76,9 @@ struct FailAction {
 };
 
 /// Every failpoint name compiled into the tree, one per durability seam.
-/// The kill-at-every-seam fuzz iterates this list, so adding a SPM_FAILPOINT
+/// The kill-at-every-seam fuzz iterates this list, so adding a failpoint
 /// site means adding its name here (configure rejects unknown names).
 const std::vector<std::string> &failpointSeamNames();
-
-#if SPM_FAILPOINTS_ENABLED
 
 /// Parses and arms \p Spec (grammar in the file comment), replacing any
 /// previous configuration and resetting all hit counts. Empty spec ==
@@ -121,26 +105,6 @@ inline void failpointCheck(const char *Name) {
     throw FailPointInjected(Name);
 }
 
-#else // !SPM_FAILPOINTS_ENABLED
-
-/// Compiled out: arming any non-empty spec is an error — a test run that
-/// believes it is injecting faults must not silently pass without them.
-bool failpointsConfigure(const std::string &Spec, std::string *Err = nullptr);
-inline void failpointsClear() {}
-inline uint64_t failpointHits(const std::string &) { return 0; }
-inline FailAction failpointEval(const char *) { return FailAction{}; }
-inline void failpointCheck(const char *) {}
-
-#endif // SPM_FAILPOINTS_ENABLED
-
 } // namespace spm
-
-/// Drops a throw-style failpoint in the current block. Compiled-out builds
-/// emit nothing (the name string is not even referenced).
-#if SPM_FAILPOINTS_ENABLED
-#define SPM_FAILPOINT(NameLiteral) ::spm::failpointCheck(NameLiteral)
-#else
-#define SPM_FAILPOINT(NameLiteral) ((void)0)
-#endif
 
 #endif // SPM_SUPPORT_FAILPOINT_H

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A bounded, always-on ring of the most recent noteworthy events (command
-/// dispatch, file writes, checkpoint serialize/parse, injected faults),
+/// dispatch, file writes, injected faults),
 /// kept so that when an exception unwinds out of spm_tool
 /// the crash dump can say what the process was doing just before it died —
 /// the forensic counterpart to the spmtrace spans, which only exist when
@@ -15,7 +15,7 @@
 ///
 /// Unlike the trace rings this ring is not compile-time gated: sites sit at
 /// seam granularity (the same coarse seams the failpoints mark — file
-/// writes, checkpoint framing — never per interpreter event),
+/// writes, CFG import — never per interpreter event),
 /// so the cost is one mutex acquisition per durability operation. When the
 /// ring is full the oldest entry is overwritten: a flight recorder keeps
 /// the *last* N events, where the trace rings keep the first.

@@ -43,22 +43,8 @@ public:
     return splitMix64(State += 0x9e3779b97f4a7c15ULL);
   }
 
-  /// Current counter; feed back through setState to resume the stream.
-  uint64_t state() const { return State; }
-  void setState(uint64_t S) { State = S; }
-
 private:
   uint64_t State;
-};
-
-/// Complete mutable state of an Rng, exposed so checkpoints can snapshot
-/// and resume a stream bit-exactly. The Gaussian spare must be part of the
-/// state: nextGaussian produces deviates in pairs, and dropping a buffered
-/// spare on restore would desynchronize every draw after it.
-struct RngState {
-  uint64_t S[4] = {0, 0, 0, 0};
-  double Spare = 0.0;
-  bool HaveSpare = false;
 };
 
 /// xoshiro256** 1.0 by Blackman & Vigna. The workhorse generator: fast,
@@ -147,24 +133,6 @@ public:
   /// workload region / instruction its own stream so that adding an observer
   /// never perturbs another component's draws.
   Rng fork() { return Rng(next() ^ 0x5851f42d4c957f2dULL); }
-
-  /// Snapshots the complete generator state (xoshiro words + Gaussian
-  /// spare). restoring it resumes the stream bit-exactly.
-  RngState state() const {
-    RngState St;
-    for (int I = 0; I < 4; ++I)
-      St.S[I] = S[I];
-    St.Spare = Spare;
-    St.HaveSpare = HaveSpare;
-    return St;
-  }
-
-  void setState(const RngState &St) {
-    for (int I = 0; I < 4; ++I)
-      S[I] = St.S[I];
-    Spare = St.Spare;
-    HaveSpare = St.HaveSpare;
-  }
 
 private:
   static uint64_t rotl(uint64_t X, int K) {

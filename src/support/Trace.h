@@ -21,7 +21,7 @@
 ///     tests/observability_test).
 ///   - Compiled in, runtime-disabled (the default at startup): one relaxed
 ///     atomic load and a predictable branch per span site. Spans sit at
-///     run/stage/segment/flush granularity — never per interpreter event —
+///     run/stage/flush granularity — never per interpreter event —
 ///     so this configuration stays within 1% of the compiled-out build on the
 ///     hot stages (BENCH_trace.json records the measurement).
 ///   - Enabled (`spmTraceSetEnabled(true)`, or spm_tool's --trace-out):

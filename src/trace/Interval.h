@@ -47,8 +47,7 @@ struct IntervalRecord {
   uint64_t NumBlocks = 0; ///< Dynamic block executions in the interval.
   uint64_t NumMem = 0;    ///< Dynamic memory accesses in the interval.
   /// Wall-clock time the interval was open, as observed by the builder.
-  /// Host-dependent — excluded from determinism comparisons and from the
-  /// serialized checkpoint state (a restored interval restarts its clock).
+  /// Host-dependent — excluded from determinism comparisons.
   uint64_t WallNs = 0;
   /// Marker index that began this interval (ProloguePhase before the first
   /// firing). For fixed-length slicing this stays ProloguePhase; clustering
@@ -58,25 +57,6 @@ struct IntervalRecord {
   Bbv Vector;        ///< Empty unless BBV collection was enabled.
 
   PerfMetrics metrics() const { return PerfModel::metricsFor(Perf); }
-};
-
-/// Mutable state of an IntervalBuilder at a segment boundary: the partial
-/// interval in progress (position, phase attribution, pending cut, the
-/// counter snapshot deltas are taken against, and the partial BBV).
-/// Completed Records are deliberately not part of the state — segmented
-/// runs collect them per segment and concatenate; an interval spanning a
-/// boundary is emitted exactly once, by the segment where it cuts, with the
-/// carried partial making its content exact.
-struct IntervalBuilderState {
-  uint64_t StartInstr = 0;
-  uint64_t CurInstrs = 0;
-  uint64_t CurBlocks = 0;
-  uint64_t CurMem = 0;
-  int32_t CurPhase = ProloguePhase;
-  bool PendingCut = false;
-  int32_t PendingPhase = ProloguePhase;
-  PerfCounters LastPerf;
-  Bbv Partial; ///< Touched blocks of the open interval, in touch order.
 };
 
 /// Observer that frames intervals. Construct in fixed-length mode or in
@@ -163,51 +143,6 @@ public:
 
   const std::vector<IntervalRecord> &intervals() const { return Records; }
   std::vector<IntervalRecord> takeIntervals() { return std::move(Records); }
-
-  IntervalBuilderState saveState() const {
-    IntervalBuilderState St;
-    St.StartInstr = StartInstr;
-    St.CurInstrs = CurInstrs;
-    St.CurBlocks = CurBlocks;
-    St.CurMem = CurMem;
-    St.CurPhase = CurPhase;
-    St.PendingCut = PendingCut;
-    St.PendingPhase = PendingPhase;
-    St.LastPerf = LastPerf;
-    St.Partial.reserve(Touched.size());
-    for (uint32_t Id : Touched)
-      St.Partial.push_back({Id, DenseW[Id]});
-    return St;
-  }
-
-  /// Restores a boundary snapshot into a fresh builder (same mode and BBV
-  /// setting as the one that produced it). Records stay untouched: the
-  /// restored builder continues the open interval and emits it on its own
-  /// next cut.
-  void restoreState(const IntervalBuilderState &St) {
-    StartInstr = St.StartInstr;
-    CurInstrs = St.CurInstrs;
-    CurBlocks = St.CurBlocks;
-    CurMem = St.CurMem;
-    CurPhase = St.CurPhase;
-    // Wall time restarts at the boundary: segments of a resumed run each
-    // contribute only the time they actually held the interval open.
-    LastCut = std::chrono::steady_clock::now();
-    PendingCut = St.PendingCut;
-    PendingPhase = St.PendingPhase;
-    LastPerf = St.LastPerf;
-    Touched.clear();
-    ++Epoch;
-    for (const auto &[Id, W] : St.Partial) {
-      if (Id >= Stamp.size()) {
-        DenseW.resize(Id + 1, 0.0);
-        Stamp.resize(Id + 1, 0);
-      }
-      Stamp[Id] = Epoch;
-      DenseW[Id] = W;
-      Touched.push_back(Id);
-    }
-  }
 
 private:
   IntervalBuilder(uint64_t FixedLen, const PerfModel *Perf, bool CollectBbv)

@@ -21,15 +21,6 @@
 
 namespace spm {
 
-/// Complete mutable state of a BranchPredictor2Bit, exposed for
-/// checkpointing: predictor counters are history-dependent, so checkpointed
-/// execution carries them across segment boundaries.
-struct BranchPredictorState {
-  std::vector<uint8_t> Counters;
-  uint64_t Branches = 0;
-  uint64_t Mispredicts = 0;
-};
-
 /// Bimodal predictor with a power-of-two counter table indexed by PC.
 class BranchPredictor2Bit {
 public:
@@ -58,21 +49,6 @@ public:
 
   uint64_t branches() const { return Branches; }
   uint64_t mispredicts() const { return Mispredicts; }
-
-  BranchPredictorState saveState() const {
-    return {Counters, Branches, Mispredicts};
-  }
-
-  /// Restores a snapshot from a predictor with the same table size; returns
-  /// false (no change) on shape mismatch.
-  bool restoreState(const BranchPredictorState &St) {
-    if (St.Counters.size() != Counters.size())
-      return false;
-    Counters = St.Counters;
-    Branches = St.Branches;
-    Mispredicts = St.Mispredicts;
-    return true;
-  }
 
 private:
   uint64_t Mask;

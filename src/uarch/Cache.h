@@ -117,10 +117,9 @@ struct CacheStats {
   }
 };
 
-/// Complete mutable state of a CacheModel (tags, LRU stamps, clock,
-/// counters), exposed so checkpoints can snapshot and resume a simulation
-/// bit-exactly. Cache contents are history-dependent, so checkpointed execution
-/// cannot skip ahead without carrying this.
+/// Snapshot of a CacheModel's contents (tags, LRU stamps, clock, counters),
+/// read through saveState(). A test oracle: it lets the served-cache tests
+/// compare set contents way by way across setAssocPreserving.
 struct CacheModelState {
   CacheStats Stats;
   std::vector<uint64_t> Tags;
@@ -245,19 +244,6 @@ public:
   void resetStats() { Stats = CacheStats(); }
 
   CacheModelState saveState() const { return {Stats, Tags, Stamps, Clock}; }
-
-  /// Restores a snapshot taken from a cache of the same geometry. Returns
-  /// false (leaving the cache untouched) when the snapshot's table shape
-  /// does not match the current configuration.
-  bool restoreState(const CacheModelState &St) {
-    if (St.Tags.size() != Tags.size() || St.Stamps.size() != Stamps.size())
-      return false;
-    Stats = St.Stats;
-    Tags = St.Tags;
-    Stamps = St.Stamps;
-    Clock = St.Clock;
-    return true;
-  }
 
 private:
   CacheConfig Cfg;

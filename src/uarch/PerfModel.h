@@ -86,16 +86,6 @@ struct PerfMetrics {
   }
 };
 
-/// Complete mutable state of a PerfModel: counters plus the cache and
-/// predictor contents they were accumulated against.
-struct PerfModelState {
-  PerfCounters C;
-  CacheModelState DL1;
-  bool HasL2 = false;
-  CacheModelState L2;
-  BranchPredictorState Bp;
-};
-
 /// The performance-model observer.
 class PerfModel : public ExecutionObserver {
 public:
@@ -178,33 +168,6 @@ public:
   }
 
   CacheModel &dl1() { return DL1; }
-
-  PerfModelState saveState() const {
-    PerfModelState St;
-    St.C = C;
-    St.DL1 = DL1.saveState();
-    St.HasL2 = L2.has_value();
-    if (L2)
-      St.L2 = L2->saveState();
-    St.Bp = Bp.saveState();
-    return St;
-  }
-
-  /// Restores a snapshot from an identically configured model; returns
-  /// false on any hierarchy or geometry mismatch (model left unusable for
-  /// resumption — construct a fresh one).
-  bool restoreState(const PerfModelState &St) {
-    if (St.HasL2 != L2.has_value())
-      return false;
-    if (!DL1.restoreState(St.DL1))
-      return false;
-    if (L2 && !L2->restoreState(St.L2))
-      return false;
-    if (!Bp.restoreState(St.Bp))
-      return false;
-    C = St.C;
-    return true;
-  }
 
 private:
   PerfCounters C;

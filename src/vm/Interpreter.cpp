@@ -39,33 +39,5 @@ RunResult Interpreter::run(ExecutionObserver &Obs, uint64_t MaxInstrsIn) {
   return runFast(Obs, MaxInstrsIn);
 }
 
-void Interpreter::snapshotState(InterpCheckpoint &C) const {
-  C.TotalInstrs = Result.TotalInstrs;
-  C.TotalBlocks = Result.TotalBlocks;
-  C.TotalMemAccesses = Result.TotalMemAccesses;
-  C.Rand = Rand.state();
-  C.SeqPos = SeqPos;
-  C.ChaseState = ChaseState;
-  C.RandState = RandState;
-  C.SchedCursor = SchedCursor;
-  C.CondCounter = CondCounter;
-  C.RRCursor = RRCursor;
-}
-
-void Interpreter::restoreState(const InterpCheckpoint &C) {
-  Result.TotalInstrs = C.TotalInstrs;
-  Result.TotalBlocks = C.TotalBlocks;
-  Result.TotalMemAccesses = C.TotalMemAccesses;
-  // The limit flag describes the segment being executed, not history.
-  Result.HitInstrLimit = false;
-  Rand.setState(C.Rand);
-  SeqPos = C.SeqPos;
-  ChaseState = C.ChaseState;
-  RandState = C.RandState;
-  SchedCursor = C.SchedCursor;
-  CondCounter = C.CondCounter;
-  RRCursor = C.RRCursor;
-}
-
 // The exec tree and the address/trip/cond evaluators live in Interpreter.h
 // so every runFast instantiation, run()'s included, inlines them fully.

@@ -25,10 +25,8 @@
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/Trace.h"
-#include "vm/Checkpoint.h"
 #include "vm/Observer.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -143,36 +141,6 @@ public:
     return Result;
   }
 
-  //===--------------------------------------------------------------------===//
-  // Resumable segments (checkpoint/resume; see docs/checkpoint.md).
-  //
-  // A segment executes from a checkpoint (nullptr = program start) until
-  // Result.TotalInstrs reaches \p UntilInstrs or the program completes,
-  // then captures the suspension point into \p Out (nullptr = discard).
-  // Segments emit neither onRunStart nor onRunEnd — run framing belongs to
-  // the caller, which lets the first segment own the start and the final
-  // segment own the end exactly as one uninterrupted run would. The
-  // returned RunResult is cumulative from the logical run start (totals
-  // carry through the checkpoint); HitInstrLimit refers to this segment's
-  // boundary only.
-  //
-  // Bit-exactness contract: for any boundary sequence, concatenating the
-  // event streams of the chained segments reproduces run()'s stream
-  // byte-for-byte. Decisions drawn before the boundary travel in the
-  // checkpoint's resume frames; decisions after it re-draw from the
-  // restored RNG state at the same position in the draw sequence.
-  //===--------------------------------------------------------------------===//
-
-  /// Segment through a StaticEmitter, like runFast; ObsT =
-  /// ExecutionObserver dispatches every event virtually.
-  template <class ObsT>
-  RunResult runFastSegment(ObsT &Obs, const InterpCheckpoint *From,
-                           uint64_t UntilInstrs,
-                           InterpCheckpoint *Out = nullptr) {
-    StaticEmitter<ObsT> E{Obs};
-    return segmentT(E, From, UntilInstrs, Out);
-  }
-
   /// Resolved byte size of region \p Idx under the constructor's input.
   uint64_t regionSize(uint32_t Idx) const {
     assert(Idx < RegionSizes.size() && "region index out of range");
@@ -195,37 +163,17 @@ private:
   // copy. Defined after the class so every instantiation inlines fully.
   template <class Emit>
   bool execFunctionT(uint32_t FuncId, unsigned Depth, Emit &E);
-  /// Executes Nodes[First..), capturing the failing child index on budget
-  /// exhaustion. First is 0 everywhere except the resume walk, which uses
-  /// it to finish a node list from the suspended child onward.
+  /// Kept out of line so the inliner's budget, not unrelated edits in
+  /// this header, cannot move the layout of the profiling loop.
   template <class Emit>
-  bool execNodesFromT(const std::vector<ExecNode> &Nodes, size_t First,
-                      unsigned Depth, Emit &E);
+  [[gnu::noinline]] bool execNodesT(const std::vector<ExecNode> &Nodes,
+                                    unsigned Depth, Emit &E);
   template <class Emit> bool execNodeT(const ExecNode &N, unsigned Depth, Emit &E);
   /// Everything after a call node's site block: probability gate, depth
-  /// cap, callee selection, call/ret events, callee execution. Split out
-  /// because the resume walk re-enters exactly here when the boundary fell
-  /// on the site block (callee not yet drawn).
+  /// cap, callee selection, call/ret events, callee execution.
   template <class Emit>
   bool execCallTailT(const ExecNode &N, const LoweredBlock &Site,
                      unsigned Depth, Emit &E);
-
-  // Resume walk: descends the recorded frame stack, replaying decisions
-  // stored in the frames (trips, if outcomes, callees) and finishing each
-  // construct with the ordinary exec path. Mirrors execFunctionT/execNodeT
-  // one-for-one; a second suspension during resume re-captures through the
-  // same helpers.
-  template <class Emit>
-  bool resumeFuncT(const std::vector<ResumeFrame> &Fr, size_t &Idx,
-                   unsigned Depth, Emit &E);
-  template <class Emit>
-  bool resumeNodeT(const ExecNode &N, const std::vector<ResumeFrame> &Fr,
-                   size_t &Idx, unsigned Depth, Emit &E);
-
-  /// Shared segment driver (see runFastSegment).
-  template <class Emit>
-  RunResult segmentT(Emit &E, const InterpCheckpoint *From,
-                     uint64_t UntilInstrs, InterpCheckpoint *Out);
 
   /// Callee selection for a call site (weighted RNG draw or round-robin
   /// cursor).
@@ -251,49 +199,6 @@ private:
     return Cands.back().Callee;
   }
 
-  void snapshotState(InterpCheckpoint &C) const;
-  void restoreState(const InterpCheckpoint &C);
-
-  // Unwind capture: when a segment's budget exhausts, the false-return
-  // cascade appends one frame per level (innermost first; the driver
-  // reverses). All helpers return false so capture sites read
-  // `return capX(...)`. Cost on the hot path is zero — these run only on
-  // the rare budget-exhausted unwind, and not at all when Capture is null
-  // (run/runFast never set it).
-  bool capFunc(uint32_t FuncId, uint8_t Step) {
-    if (Capture)
-      Capture->push_back(
-          {ResumeFrame::Kind::Func, Step, FuncId, 0, 0, false});
-    return false;
-  }
-  bool capSeq(size_t ChildIdx) {
-    if (Capture)
-      Capture->push_back({ResumeFrame::Kind::Seq, 0,
-                          static_cast<uint32_t>(ChildIdx), 0, 0, false});
-    return false;
-  }
-  bool capCode() {
-    if (Capture)
-      Capture->push_back({ResumeFrame::Kind::Code, 0, 0, 0, 0, false});
-    return false;
-  }
-  bool capLoop(uint8_t Step, uint64_t Trip, uint64_t Iter) {
-    if (Capture)
-      Capture->push_back({ResumeFrame::Kind::Loop, Step, 0, Trip, Iter,
-                          false});
-    return false;
-  }
-  bool capIf(uint8_t Step, bool Flag) {
-    if (Capture)
-      Capture->push_back({ResumeFrame::Kind::If, Step, 0, 0, 0, Flag});
-    return false;
-  }
-  bool capCall(uint8_t Step, uint32_t Callee) {
-    if (Capture)
-      Capture->push_back(
-          {ResumeFrame::Kind::Call, Step, Callee, 0, 0, false});
-    return false;
-  }
   /// Emits the block event and its memory accesses; returns false when the
   /// instruction budget is exhausted.
   template <class Emit> bool execBlockT(const LoweredBlock &Blk, Emit &E);
@@ -325,15 +230,10 @@ private:
   std::vector<uint64_t> SchedCursor;  ///< Per trip site schedule cursor.
   std::vector<uint64_t> CondCounter;  ///< Per cond site periodic counter.
   std::vector<uint64_t> RRCursor;     ///< Per call site round-robin cursor.
-
-  /// Capture target during a checkpointing segment; null otherwise.
-  std::vector<ResumeFrame> *Capture = nullptr;
-  std::vector<ResumeFrame> CapturedFrames; ///< Scratch for the above.
-
 };
 
 //===----------------------------------------------------------------------===//
-// Exec tree (shared by run, runFast and the segments) — header-inline so
+// Exec tree (shared by run and runFast) — header-inline so
 // every emitter instantiation, including runFast's per-observer ones,
 // compiles into its caller with full inlining of the evaluators below.
 //===----------------------------------------------------------------------===//
@@ -484,21 +384,17 @@ bool Interpreter::execBlockT(const LoweredBlock &Blk, Emit &E) {
 template <class Emit>
 bool Interpreter::execFunctionT(uint32_t FuncId, unsigned Depth, Emit &E) {
   const LoweredFunction &F = B.func(FuncId);
-  if (!execBlockT(B.block(F.EntryBlock), E))
-    return capFunc(FuncId, ResumeFrame::StepEntry);
-  if (!execNodesFromT(F.Body, 0, Depth, E))
-    return capFunc(FuncId, ResumeFrame::StepBody);
-  if (!execBlockT(B.block(F.ExitBlock), E))
-    return capFunc(FuncId, ResumeFrame::StepExit);
-  return true;
+  return execBlockT(B.block(F.EntryBlock), E) &&
+         execNodesT(F.Body, Depth, E) &&
+         execBlockT(B.block(F.ExitBlock), E);
 }
 
 template <class Emit>
-bool Interpreter::execNodesFromT(const std::vector<ExecNode> &Nodes,
-                                 size_t First, unsigned Depth, Emit &E) {
-  for (size_t I = First; I < Nodes.size(); ++I)
-    if (!execNodeT(Nodes[I], Depth, E))
-      return capSeq(I);
+bool Interpreter::execNodesT(const std::vector<ExecNode> &Nodes,
+                             unsigned Depth, Emit &E) {
+  for (const ExecNode &N : Nodes)
+    if (!execNodeT(N, Depth, E))
+      return false;
   return true;
 }
 
@@ -513,7 +409,7 @@ bool Interpreter::execCallTailT(const ExecNode &N, const LoweredBlock &Site,
   uint32_t Callee = chooseCallee(N.Candidates, N.RoundRobin, N.RRSite);
   E.call(Site.termAddr(), Callee);
   if (!execFunctionT(Callee, Depth + 1, E))
-    return capCall(ResumeFrame::StepBody, Callee);
+    return false;
   E.ret(Callee);
   return true;
 }
@@ -522,21 +418,16 @@ template <class Emit>
 bool Interpreter::execNodeT(const ExecNode &N, unsigned Depth, Emit &E) {
   switch (N.K) {
   case ExecNode::Kind::Code:
-    if (!execBlockT(B.block(N.Block), E))
-      return capCode();
-    return true;
+    return execBlockT(B.block(N.Block), E);
 
   case ExecNode::Kind::Loop: {
     uint64_t Trip = evalTrip(N.Trip, N.TripSite);
     const LoweredBlock &Header = B.block(N.Block);
     const LoweredBlock &Latch = B.block(N.LatchBlock);
     for (uint64_t I = 0; I < Trip; ++I) {
-      if (!execBlockT(Header, E))
-        return capLoop(ResumeFrame::StepHeader, Trip, I);
-      if (!execNodesFromT(N.Children, 0, Depth, E))
-        return capLoop(ResumeFrame::StepBody, Trip, I);
-      if (!execBlockT(Latch, E))
-        return capLoop(ResumeFrame::StepLatch, Trip, I);
+      if (!execBlockT(Header, E) || !execNodesT(N.Children, Depth, E) ||
+          !execBlockT(Latch, E))
+        return false;
       bool Taken = I + 1 < Trip;
       E.branch(Latch.termAddr(), Header.Addr, Taken, /*Backward=*/true,
                /*Conditional=*/true);
@@ -547,210 +438,23 @@ bool Interpreter::execNodeT(const ExecNode &N, unsigned Depth, Emit &E) {
   case ExecNode::Kind::If: {
     const LoweredBlock &Cond = B.block(N.Block);
     if (!execBlockT(Cond, E))
-      return capIf(ResumeFrame::StepCond, false);
+      return false;
     bool TakeThen = evalCond(N.Cond, N.CondSite);
     // The lowered branch skips the then-part when the condition is false.
     E.branch(Cond.termAddr(), Cond.Term.TargetAddr, /*Taken=*/!TakeThen,
              /*Backward=*/false, /*Conditional=*/true);
-    if (!execNodesFromT(TakeThen ? N.Children : N.ElseChildren, 0, Depth, E))
-      return capIf(ResumeFrame::StepBody, TakeThen);
-    return true;
+    return execNodesT(TakeThen ? N.Children : N.ElseChildren, Depth, E);
   }
 
   case ExecNode::Kind::Call: {
     const LoweredBlock &Site = B.block(N.Block);
     if (!execBlockT(Site, E))
-      return capCall(ResumeFrame::StepSite, 0);
+      return false;
     return execCallTailT(N, Site, Depth, E);
   }
   }
   assert(false && "unknown exec node kind");
   return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Resume walk and segment driver
-//===----------------------------------------------------------------------===//
-
-template <class Emit>
-bool Interpreter::resumeFuncT(const std::vector<ResumeFrame> &Fr,
-                              size_t &Idx, unsigned Depth, Emit &E) {
-  const ResumeFrame F = Fr[Idx++];
-  assert(F.K == ResumeFrame::Kind::Func && "resume expects a function frame");
-  const LoweredFunction &Fn = B.func(F.Id);
-  switch (F.Step) {
-  case ResumeFrame::StepEntry:
-    if (!execNodesFromT(Fn.Body, 0, Depth, E))
-      return capFunc(F.Id, ResumeFrame::StepBody);
-    break;
-  case ResumeFrame::StepBody: {
-    const ResumeFrame S = Fr[Idx++]; // Seq: the suspended child.
-    assert(S.K == ResumeFrame::Kind::Seq && "expected child-index frame");
-    if (!resumeNodeT(Fn.Body[S.Id], Fr, Idx, Depth, E)) {
-      capSeq(S.Id);
-      return capFunc(F.Id, ResumeFrame::StepBody);
-    }
-    if (!execNodesFromT(Fn.Body, S.Id + 1, Depth, E))
-      return capFunc(F.Id, ResumeFrame::StepBody);
-    break;
-  }
-  case ResumeFrame::StepExit:
-    return true; // The exit block was the boundary: function complete.
-  }
-  if (!execBlockT(B.block(Fn.ExitBlock), E))
-    return capFunc(F.Id, ResumeFrame::StepExit);
-  return true;
-}
-
-template <class Emit>
-bool Interpreter::resumeNodeT(const ExecNode &N,
-                              const std::vector<ResumeFrame> &Fr,
-                              size_t &Idx, unsigned Depth, Emit &E) {
-  const ResumeFrame F = Fr[Idx++];
-  switch (F.K) {
-  case ResumeFrame::Kind::Code:
-    return true; // The code block itself was the boundary; node done.
-
-  case ResumeFrame::Kind::Loop: {
-    const LoweredBlock &Header = B.block(N.Block);
-    const LoweredBlock &Latch = B.block(N.LatchBlock);
-    const uint64_t Trip = F.Trip; // Drawn before the boundary; not re-drawn.
-    uint64_t I = F.Iter;
-    bool LatchPending = true;
-    switch (F.Step) {
-    case ResumeFrame::StepHeader:
-      if (!execNodesFromT(N.Children, 0, Depth, E))
-        return capLoop(ResumeFrame::StepBody, Trip, I);
-      break;
-    case ResumeFrame::StepBody: {
-      const ResumeFrame S = Fr[Idx++];
-      assert(S.K == ResumeFrame::Kind::Seq && "expected child-index frame");
-      if (!resumeNodeT(N.Children[S.Id], Fr, Idx, Depth, E)) {
-        capSeq(S.Id);
-        return capLoop(ResumeFrame::StepBody, Trip, I);
-      }
-      if (!execNodesFromT(N.Children, S.Id + 1, Depth, E))
-        return capLoop(ResumeFrame::StepBody, Trip, I);
-      break;
-    }
-    case ResumeFrame::StepLatch:
-      // The latch block executed before the boundary; only its backward
-      // branch event is still pending.
-      LatchPending = false;
-      break;
-    }
-    if (LatchPending && !execBlockT(Latch, E))
-      return capLoop(ResumeFrame::StepLatch, Trip, I);
-    E.branch(Latch.termAddr(), Header.Addr, /*Taken=*/I + 1 < Trip,
-             /*Backward=*/true, /*Conditional=*/true);
-    for (++I; I < Trip; ++I) {
-      if (!execBlockT(Header, E))
-        return capLoop(ResumeFrame::StepHeader, Trip, I);
-      if (!execNodesFromT(N.Children, 0, Depth, E))
-        return capLoop(ResumeFrame::StepBody, Trip, I);
-      if (!execBlockT(Latch, E))
-        return capLoop(ResumeFrame::StepLatch, Trip, I);
-      E.branch(Latch.termAddr(), Header.Addr, /*Taken=*/I + 1 < Trip,
-               /*Backward=*/true, /*Conditional=*/true);
-    }
-    return true;
-  }
-
-  case ResumeFrame::Kind::If: {
-    if (F.Step == ResumeFrame::StepCond) {
-      // Boundary fell on the cond block: the outcome draw is the next use
-      // of the restored RNG, exactly as in the uninterrupted run.
-      const LoweredBlock &Cond = B.block(N.Block);
-      bool TakeThen = evalCond(N.Cond, N.CondSite);
-      E.branch(Cond.termAddr(), Cond.Term.TargetAddr, /*Taken=*/!TakeThen,
-               /*Backward=*/false, /*Conditional=*/true);
-      if (!execNodesFromT(TakeThen ? N.Children : N.ElseChildren, 0, Depth,
-                          E))
-        return capIf(ResumeFrame::StepBody, TakeThen);
-      return true;
-    }
-    const std::vector<ExecNode> &List =
-        F.Flag ? N.Children : N.ElseChildren;
-    const ResumeFrame S = Fr[Idx++];
-    assert(S.K == ResumeFrame::Kind::Seq && "expected child-index frame");
-    if (!resumeNodeT(List[S.Id], Fr, Idx, Depth, E)) {
-      capSeq(S.Id);
-      return capIf(ResumeFrame::StepBody, F.Flag);
-    }
-    if (!execNodesFromT(List, S.Id + 1, Depth, E))
-      return capIf(ResumeFrame::StepBody, F.Flag);
-    return true;
-  }
-
-  case ResumeFrame::Kind::Call: {
-    const LoweredBlock &Site = B.block(N.Block);
-    if (F.Step == ResumeFrame::StepSite)
-      // Boundary on the site block: probability gate and callee selection
-      // re-draw from the restored RNG.
-      return execCallTailT(N, Site, Depth, E);
-    if (!resumeFuncT(Fr, Idx, Depth + 1, E))
-      return capCall(ResumeFrame::StepBody, F.Id);
-    E.ret(F.Id);
-    return true;
-  }
-
-  default:
-    assert(false && "unexpected resume frame kind");
-    return false;
-  }
-}
-
-template <class Emit>
-RunResult Interpreter::segmentT(Emit &E, const InterpCheckpoint *From,
-                                uint64_t UntilInstrs,
-                                InterpCheckpoint *Out) {
-  SPM_TRACE_SPAN("vm.segment");
-  if (spmTraceEnabled())
-    metrics().counter("vm.segments").forceAdd(1);
-  MaxInstrs = UntilInstrs;
-  if (From)
-    restoreState(*From);
-  else
-    Result = RunResult();
-  CapturedFrames.clear();
-  Capture = Out ? &CapturedFrames : nullptr;
-
-  bool Finished;
-  if (From && From->Finished) {
-    Finished = true;
-  } else if (From && !From->Frames.empty() &&
-             Result.TotalInstrs >= MaxInstrs) {
-    // Zero-length segment (boundary at or before the current position):
-    // the suspension point is unchanged.
-    Result.HitInstrLimit = true;
-    if (Out) {
-      snapshotState(*Out);
-      Out->Frames = From->Frames;
-      Out->Finished = false;
-    }
-    Capture = nullptr;
-    return Result;
-  } else if (From && !From->Frames.empty()) {
-    size_t Idx = 0;
-    Finished = resumeFuncT(From->Frames, Idx, /*Depth=*/0, E);
-  } else {
-    Finished = execFunctionT(/*FuncId=*/0, /*Depth=*/0, E);
-  }
-
-  if (Out) {
-    snapshotState(*Out);
-    Out->Finished = Finished;
-    if (Finished) {
-      Out->Frames.clear();
-    } else {
-      // Captured innermost-first during the unwind; store outermost-first.
-      std::reverse(CapturedFrames.begin(), CapturedFrames.end());
-      Out->Frames = std::move(CapturedFrames);
-      CapturedFrames.clear();
-    }
-  }
-  Capture = nullptr;
-  return Result;
 }
 
 } // namespace spm

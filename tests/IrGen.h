@@ -16,7 +16,7 @@
 //
 // A slice of the statement mix is edge-adversarial: zero-trip constant
 // loops wedged between straight-line runs, constant-trip nests saturating
-// the resume-frame depth, ungated recursion immediately after a
+// the exec tree's recursion depth, ungated recursion immediately after a
 // straight-line run, and single-code-block functions.
 //
 // Everything is a pure function of the seed, so a failing program is
@@ -106,7 +106,7 @@ private:
   uint32_t NumFuncs = 1;
 
   /// A tight chain of nested loops (trip 1-2) with one code statement at
-  /// the bottom: stresses frame-path depth in captures and resume.
+  /// the bottom: stresses the exec tree's recursion depth.
   void deepChain(FunctionBuilder &FB, uint32_t Depth) {
     if (Depth == 0) {
       FB.code(1 + static_cast<uint32_t>(R.nextBelow(4)));
@@ -154,8 +154,7 @@ private:
   }
 
   /// Edge-adversarial statements: degenerate constructs next to
-  /// straight-line code, where checkpoint boundaries and resume walks meet
-  /// their corner cases.
+  /// straight-line code, where the exec tree meets its corner cases.
   void edgeShape(FunctionBuilder &FB, uint32_t FuncId) {
     switch (R.nextBelow(4)) {
     case 0:
@@ -167,8 +166,7 @@ private:
       code(FB);
       break;
     case 1:
-      // Constant-trip nest saturating the frame-path depth with code on
-      // both sides: capture/resume paths of maximal depth.
+      // Constant-trip nest of maximal depth with code on both sides.
       code(FB);
       deepChain(FB, 7 + static_cast<uint32_t>(R.nextBelow(3)));
       code(FB);

@@ -3,8 +3,8 @@
 // Proves the per-phase attribution invariants (docs/observability.md):
 //
 //   1. Exactness: summed across phases, PhaseStats' instruction, dynamic
-//      block, and memory-access totals equal the run's own global counters —
-//      whole or cut into checkpointed segments, bit for bit.
+//      block, and memory-access totals equal the run's own global counters,
+//      bit for bit.
 //   2. Export shape: the per-phase JSONL carries one object per phase.
 //   3. The crash-time flight recorder: a run killed by an injected fault
 //      leaves <out>.crash.json behind, valid JSON, naming the seam that
@@ -17,14 +17,11 @@
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "phase/PhaseStats.h"
-#include "support/FailPoint.h"
 #include "support/FlightRecorder.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workloads/Workloads.h"
-
-#include "DiffHarness.h"
 
 #include <gtest/gtest.h>
 
@@ -40,7 +37,7 @@ using namespace spm;
 
 namespace {
 
-/// Mid-run cap, same spirit as the engine/segment differential suites: the
+/// Mid-run cap, same spirit as the engine differential suite: the
 /// attribution must balance even when the run stops inside live loop nests.
 constexpr uint64_t Cap = 1'000'000;
 
@@ -75,53 +72,15 @@ PipelineCase makeCase(const std::string &Name) {
   return C;
 }
 
-/// Canonical string of the attribution's deterministic content: per phase
-/// the interval count and integer totals. WallNs is host time and PerfAgg
-/// CPI moments follow from the counters, so this is the full byte-compare
-/// surface for cross-segment identity.
-std::string dumpAttribution(const PhaseStats &PS) {
-  std::string Out;
-  char Buf[160];
-  for (const auto &[Id, A] : PS.phases()) {
-    std::snprintf(Buf, sizeof(Buf), "p %d %llu %llu %llu %llu %llu %llu\n",
-                  Id, (unsigned long long)A.Intervals,
-                  (unsigned long long)A.Instrs, (unsigned long long)A.Blocks,
-                  (unsigned long long)A.Mem,
-                  (unsigned long long)A.Perf.BaseCycles,
-                  (unsigned long long)A.Perf.L1Misses);
-    Out += Buf;
-  }
-  return Out;
+/// The production marker driver on the case's ref input, up to Cap.
+MarkerRun runWhole(const PipelineCase &C) {
+  return runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
+                            /*CollectBbv=*/false, /*RecordFirings=*/false,
+                            Cap);
 }
-
-/// One segment-count configuration of a marker run.
-struct RunConfig {
-  const char *Label;
-  unsigned Segments;
-};
-
-/// One segment runs the production driver; more run the serial segment
-/// chain (DiffHarness.h) cut at even boundaries.
-MarkerRun runConfigured(const PipelineCase &C, const RunConfig &Cfg) {
-  if (Cfg.Segments == 1)
-    return runMarkerIntervals(*C.B, C.Loops, *C.G, C.Markers, C.W.Ref,
-                              /*CollectBbv=*/false, /*RecordFirings=*/false,
-                              Cap);
-  return difftest::runSegmentChain(
-      [&] {
-        return std::make_unique<difftest::MarkerStack>(
-            *C.B, C.Loops, *C.G, C.Markers, C.W.Ref, /*CollectBbv=*/false);
-      },
-      difftest::evenBoundaries(difftest::runLength(*C.B, C.W.Ref, Cap),
-                               Cfg.Segments, Cap),
-      Cfg.Label);
-}
-
-const RunConfig AllConfigs[] = {{"whole", 1}, {"segments/3", 3}};
 
 //===----------------------------------------------------------------------===//
-// Exactness: per-phase sums equal global counters at every segment count,
-// and the attribution is bit-identical across all of them.
+// Exactness: per-phase sums equal global counters.
 //===----------------------------------------------------------------------===//
 
 class AttributionExact : public ::testing::TestWithParam<const char *> {};
@@ -129,22 +88,14 @@ class AttributionExact : public ::testing::TestWithParam<const char *> {};
 TEST_P(AttributionExact, SumsMatchGlobalCountersEverywhere) {
   ObsGuard Guard;
   PipelineCase C = makeCase(GetParam());
-  std::string Reference;
-  for (const RunConfig &Cfg : AllConfigs) {
-    MarkerRun Run = runConfigured(C, Cfg);
-    PhaseStats PS = PhaseStats::fromIntervals(Run.Intervals);
-    PhaseStats::Totals T = PS.totals();
-    EXPECT_EQ(T.Instrs, Run.Run.TotalInstrs) << Cfg.Label;
-    EXPECT_EQ(T.Blocks, Run.Run.TotalBlocks) << Cfg.Label;
-    EXPECT_EQ(T.Mem, Run.Run.TotalMemAccesses) << Cfg.Label;
-    EXPECT_EQ(T.Intervals, Run.Intervals.size()) << Cfg.Label;
-    std::string Dump = dumpAttribution(PS);
-    if (Reference.empty())
-      Reference = Dump;
-    else
-      EXPECT_EQ(Dump, Reference) << Cfg.Label;
-  }
-  EXPECT_FALSE(Reference.empty());
+  MarkerRun Run = runWhole(C);
+  PhaseStats PS = PhaseStats::fromIntervals(Run.Intervals);
+  EXPECT_FALSE(PS.empty());
+  PhaseStats::Totals T = PS.totals();
+  EXPECT_EQ(T.Instrs, Run.Run.TotalInstrs);
+  EXPECT_EQ(T.Blocks, Run.Run.TotalBlocks);
+  EXPECT_EQ(T.Mem, Run.Run.TotalMemAccesses);
+  EXPECT_EQ(T.Intervals, Run.Intervals.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, AttributionExact,
@@ -157,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(Workloads, AttributionExact,
 TEST(PhaseStatsExport, JsonlIsOneObjectPerPhase) {
   ObsGuard Guard;
   PipelineCase C = makeCase("gzip");
-  MarkerRun Run = runConfigured(C, AllConfigs[0]);
+  MarkerRun Run = runWhole(C);
   PhaseStats PS = PhaseStats::fromIntervals(Run.Intervals);
   ASSERT_FALSE(PS.empty());
 
@@ -184,7 +135,7 @@ TEST(PhaseStatsExport, JsonlIsOneObjectPerPhase) {
 TEST(Attribution, WallTimeIsAccumulatedPerInterval) {
   ObsGuard Guard;
   PipelineCase C = makeCase("gzip");
-  MarkerRun Run = runConfigured(C, AllConfigs[0]);
+  MarkerRun Run = runWhole(C);
   ASSERT_FALSE(Run.Intervals.empty());
   // Every interval carried some block executions; wall time is measured per
   // interval and non-negative by construction. At least the run as a whole
@@ -269,8 +220,6 @@ std::string slurp(const std::string &P) {
 }
 
 TEST(CrashDump, ToolLeavesFlightRecorderDumpOnInjectedFault) {
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "needs an SPM_FAILPOINTS=ON build";
   // ctest runs test binaries from the build tree; the CLI sits in ../tools
   // relative to tests/ (and ./tools relative to the build root).
   std::string Tool;
@@ -282,42 +231,36 @@ TEST(CrashDump, ToolLeavesFlightRecorderDumpOnInjectedFault) {
   if (Tool.empty())
     GTEST_SKIP() << "spm_tool binary not found next to the test binary";
 
-  // Produce a marker file the throwing leg can consume. The write seams
-  // report errors instead of throwing, so the kill site is the
-  // ckpt.serialize failpoint inside `checkpoint save` — an exception that
-  // unwinds all the way out of the command.
-  std::string Prof = "attr_crash_prof.txt";
-  std::string Mk = "attr_crash_markers.txt";
-  std::string Out = "attr_crash_ckpt.bin";
+  // The write seams report errors instead of throwing, so the kill site is
+  // the cfg.import failpoint inside `import` — an exception that unwinds
+  // all the way out of the command.
+  std::string Cfg = "attr_crash.cfg";
+  std::string Out = "attr_crash_import.txt";
   std::string Dump = Out + ".crash.json";
   std::remove(Dump.c_str());
-  ASSERT_EQ(std::system((Tool + " profile gzip -o " + Prof +
-                         " >/dev/null 2>&1")
-                            .c_str()),
-            0);
-  ASSERT_EQ(std::system((Tool + " select " + Prof + " -o " + Mk +
-                         " >/dev/null 2>&1")
-                            .c_str()),
-            0);
-  std::string CmdLine = Tool + " checkpoint save gzip " + Mk +
-                        " --at 200000 -o " + Out +
-                        " --failpoints ckpt.serialize=throw >/dev/null 2>&1";
+  {
+    std::ofstream F(Cfg);
+    F << "spm-cfg v1\nprogram crash\nfunc 0 main\nentry 0\n"
+         "block 0 int=2\nblock 1 int=3\nedge 0 1\n";
+  }
+  std::string CmdLine = Tool + " import " + Cfg + " -o " + Out +
+                        " --failpoints cfg.import=throw >/dev/null 2>&1";
   int Rc = std::system(CmdLine.c_str());
   EXPECT_NE(Rc, 0);
+  EXPECT_FALSE(fileExists(Out));
   ASSERT_TRUE(fileExists(Dump)) << "no crash dump at " << Dump;
 
   std::string J = slurp(Dump);
   EXPECT_NE(J.find("\"format\": \"spm-crash v1\""), std::string::npos);
-  EXPECT_NE(J.find("ckpt.serialize"), std::string::npos)
+  EXPECT_NE(J.find("cfg.import"), std::string::npos)
       << "dump does not name the seam that fired";
   EXPECT_NE(J.find("\"flight_recorder\": ["), std::string::npos);
   EXPECT_NE(J.find("\"kind\": \"fault.injected\""), std::string::npos);
   EXPECT_NE(J.find("\"provenance\": {"), std::string::npos);
-  EXPECT_NE(J.find("\"command\": \"checkpoint\""), std::string::npos);
+  EXPECT_NE(J.find("\"command\": \"import\""), std::string::npos);
   EXPECT_NE(J.find("\"metrics\": ["), std::string::npos);
   std::remove(Dump.c_str());
-  std::remove(Prof.c_str());
-  std::remove(Mk.c_str());
+  std::remove(Cfg.c_str());
 }
 
 } // namespace

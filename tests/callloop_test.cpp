@@ -5,8 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "DiffHarness.h"
-
 #include "callloop/Profile.h"
 #include "callloop/ProfileIO.h"
 #include "ir/Builder.h"
@@ -17,8 +15,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
-#include <tuple>
 
 using namespace spm;
 
@@ -289,19 +285,15 @@ TEST(CallLoop, EdgeTotalsConserveInstructions) {
 
 namespace {
 
-/// One listener event: kind (0 = begin, 1 = end), From, To, Hier (0 for a
-/// begin).
-using StreamEvent = std::tuple<int, NodeId, NodeId, uint64_t>;
-
 /// One FNV-1a step over a 64-bit word.
 uint64_t mix(uint64_t Hash, uint64_t V) {
   return (Hash ^ V) * 0x100000001b3ULL;
 }
 constexpr uint64_t DigestSeed = 0xcbf29ce484222325ULL;
 
-/// Records the listener stream, in full or as a running digest.
+/// Records the listener stream, kind (0 = begin, 1 = end), From, To and
+/// Hier, as a running digest.
 struct StreamRecorder : TrackerListener {
-  std::vector<StreamEvent> *Events = nullptr; ///< Full log; null = digest only.
   uint64_t Hash = DigestSeed;
   uint64_t Count = 0;
 
@@ -311,8 +303,6 @@ struct StreamRecorder : TrackerListener {
     mix(From);
     mix(To);
     ++Count;
-    if (Events)
-      Events->emplace_back(0, From, To, 0);
   }
   void onEdgeEnd(NodeId From, NodeId To, uint64_t Hier) override {
     mix(1);
@@ -320,8 +310,6 @@ struct StreamRecorder : TrackerListener {
     mix(To);
     mix(Hier);
     ++Count;
-    if (Events)
-      Events->emplace_back(1, From, To, Hier);
   }
 };
 
@@ -430,146 +418,4 @@ TEST(TrackerStream, PinnedOnEveryProgram) {
   }
   if (HasFailure())
     std::printf("fresh pins:\n%s", Fresh.c_str());
-}
-
-namespace {
-
-/// A program whose loops exit into straight code, nest, call functions
-/// with loops of their own, and recurse, so that every kind of segment
-/// boundary occurs between two blocks.
-std::unique_ptr<SourceProgram> boundaryProgram() {
-  ProgramBuilder PB("bounds");
-  uint32_t Main = PB.declare("main");
-  uint32_t Leaf = PB.declare("leaf");
-  uint32_t Rec = PB.declare("rec");
-  PB.define(Leaf, [&](FunctionBuilder &F) {
-    F.code(2);
-    F.loop(TripCountSpec::uniform(1, 3), [&] { F.code(1); });
-    F.code(1);
-  });
-  PB.define(Rec, [&](FunctionBuilder &F) {
-    F.code(1);
-    F.branch(CondSpec::periodic(3, 2), [&] { F.call(Rec); },
-             [&] { F.code(2); });
-  });
-  PB.define(Main, [&](FunctionBuilder &F) {
-    F.loop(TripCountSpec::constant(3), [&] {
-      F.code(3);
-      F.loop(TripCountSpec::uniform(1, 4), [&] {
-        F.code(2);
-        F.call(Leaf);
-      });
-      F.code(1);
-    });
-    F.code(2);
-    F.loop(TripCountSpec::constant(2), [&] { F.call(Rec); });
-    F.code(1);
-  });
-  return PB.take();
-}
-
-/// The tracker of a segment chain, profiling into a shared graph and
-/// logging its listener stream into a shared event list.
-struct StreamStack : difftest::ChainStackBase {
-  CallLoopTracker Obs;
-  StreamRecorder Rec;
-
-  StreamStack(const Binary &B, const LoopIndex &Loops, CallLoopGraph &G,
-              const WorkloadInput &In, std::vector<StreamEvent> &Events)
-      : ChainStackBase(B, In), Obs(B, Loops, G) {
-    Obs.setProfileTarget(&G);
-    Rec.Events = &Events;
-    Obs.addListener(&Rec);
-  }
-  void save(PipelineCheckpoint &C) const {
-    C.HasTracker = true;
-    C.Tracker = Obs.saveState();
-  }
-  bool restore(const PipelineCheckpoint &C) {
-    return C.HasTracker && Obs.restoreState(C.Tracker);
-  }
-  void takeOutputs(MarkerRun &) {}
-};
-
-} // namespace
-
-// A checkpoint chain cut after every block: mid-iteration, exactly before
-// a header re-arrival (an in-place iteration), and exactly before a loop
-// exit. Each segment restores a fresh tracker; its first block can only
-// pop the exited loop if restoreState rebuilt the cached loop region. The
-// concatenated stream and the graph must equal the uninterrupted run's.
-TEST(TrackerStream, CheckpointChainCutAtEveryBlock) {
-  auto P = boundaryProgram();
-  auto B = lower(*P, LoweringOptions::O2());
-  LoopIndex Loops = LoopIndex::build(*B);
-  WorkloadInput In("t", 5);
-
-  std::vector<StreamEvent> Whole;
-  CallLoopGraph GWhole(*B, Loops);
-  {
-    CallLoopTracker Tracker(*B, Loops, GWhole);
-    Tracker.setProfileTarget(&GWhole);
-    StreamRecorder Rec;
-    Rec.Events = &Whole;
-    Tracker.addListener(&Rec);
-    Interpreter(*B, In).runFast(Tracker);
-    GWhole.finalize();
-  }
-
-  // The block trace: where each block ends, in instructions.
-  struct BlockTrace : ExecutionObserver {
-    std::vector<const LoweredBlock *> Blocks;
-    std::vector<uint64_t> End;
-    uint64_t Instrs = 0;
-    void onBlock(const LoweredBlock &Blk) override {
-      Blocks.push_back(&Blk);
-      End.push_back(Instrs += Blk.NumInstrs);
-    }
-  } T;
-  Interpreter(*B, In).runFast(T);
-
-  // Classify each cut by the block the next segment starts with.
-  auto RegionOf = [&](const LoweredBlock &Blk) {
-    int32_t Inner = -1;
-    for (const StaticLoop &L : Loops.loops())
-      if (L.FuncId == Blk.FuncId && L.contains(Blk.Addr) &&
-          (Inner < 0 || Loops.loop(Inner).contains(L.HeaderAddr)))
-        Inner = static_cast<int32_t>(L.Id);
-    return Inner;
-  };
-  unsigned MidIteration = 0, ReArrival = 0, Exit = 0;
-  std::vector<uint64_t> Until;
-  for (size_t I = 0; I + 1 < T.Blocks.size(); ++I) {
-    if (!Until.empty() && Until.back() == T.End[I])
-      continue;
-    Until.push_back(T.End[I]);
-    const LoweredBlock &Cur = *T.Blocks[I], &Next = *T.Blocks[I + 1];
-    int32_t L = RegionOf(Cur);
-    if (L < 0 || Next.FuncId != Cur.FuncId)
-      continue;
-    const StaticLoop &SL = Loops.loop(L);
-    if (!SL.contains(Next.Addr))
-      ++Exit;
-    else if (Loops.headerLoop(Next.GlobalId) == L)
-      ++ReArrival;
-    else
-      ++MidIteration;
-  }
-  Until.push_back(std::numeric_limits<uint64_t>::max());
-  EXPECT_GT(MidIteration, 0u);
-  EXPECT_GT(ReArrival, 0u);
-  EXPECT_GT(Exit, 0u);
-
-  std::vector<StreamEvent> Chained;
-  CallLoopGraph GChain(*B, Loops);
-  difftest::runSegmentChain(
-      [&] {
-        return std::make_unique<StreamStack>(*B, Loops, GChain, In, Chained);
-      },
-      Until, "every-block chain");
-  GChain.finalize();
-  EXPECT_EQ(Chained, Whole);
-  EXPECT_EQ(printGraph(GChain), printGraph(GWhole));
-  EXPECT_EQ(serializeProfile(GChain, *B, Loops),
-            serializeProfile(GWhole, *B, Loops));
 }

@@ -5,8 +5,8 @@
 //
 // The hand-checked half of the CFG importer suite (cfgfuzz_test.cpp is the
 // generative half): a worked two-level loop nest whose recovered loop forest,
-// marker intervals, and event streams are pinned across run() and runFast,
-// whole and cut into segment chains; the curated-workload round-trip property
+// marker intervals, and event streams are pinned across run() and runFast
+// and against the production drivers; the curated-workload round-trip property
 // (IR -> dump -> re-import -> byte-identical dumps and marker artifacts); the
 // negative parse suite (every parse diagnostic by name); the structural
 // negative suite (every recovery diagnostic by name, including the irreducible
@@ -145,7 +145,7 @@ TEST(CfgImport, LoopNestRecovery) {
   EXPECT_EQ(Loops.size(), 2u);
 }
 
-TEST(CfgImport, LoopNestIdenticalWholeAndSegmented) {
+TEST(CfgImport, LoopNestIdenticalUnderRunAndRunFast) {
   ImportedProgram IP = importOrDie(LoopNest);
   std::unique_ptr<Binary> B = lower(*IP.Program, LoweringOptions::O2());
   WorkloadInput In("loopnest", 7);

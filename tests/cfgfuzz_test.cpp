@@ -6,18 +6,14 @@
 // The fleet-scale half of the CFG importer suite: hundreds of procedurally
 // generated spm-cfg graphs (tests/CfgGen.h — shuffled sections, non-dense
 // ids, degenerate shapes) are parsed, imported, lowered, and driven through
-// the interpreter, whole and in segments. The legs:
+// the interpreter. The legs:
 //
 //  * Event-stream differential: each imported program runs under the
 //    virtual run() and the devirtualized runFast with byte-identical event
 //    streams and run totals.
 //  * Artifact differential: the call-loop graph dump, fixed-interval
-//    records, marker intervals, and marker firing traces of a 3-segment
-//    chain agree with the uninterrupted drivers.
-//  * Checkpoint rotation: each program is re-run as randomly split
-//    segments alternating runFastSegment and the virtual runSegment at
-//    every boundary, and the chained event stream must equal the straight
-//    runFast run.
+//    records, marker intervals, and marker firing traces of the hand-wired
+//    stacks under the virtual run() agree with the runFast drivers.
 //  * Dump fixpoint: import -> lower -> dump stabilizes after one round
 //    (the canonical dump re-imports to the byte-identical dump).
 //  * Irreducible injection: graphs with a second loop entry are rejected
@@ -40,7 +36,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 using namespace spm;
@@ -87,8 +82,8 @@ TEST(CfgFuzz, EventStreamDifferential) {
   }
 }
 
-// Graph dumps, fixed intervals, marker intervals, and firing traces of a
-// 3-segment chain against the uninterrupted drivers.
+// Graph dumps, fixed intervals, marker intervals, and firing traces of the
+// virtual stacks against the runFast drivers.
 TEST(CfgFuzz, ArtifactDifferential) {
   for (uint64_t Seed = 0; Seed < 40; ++Seed) {
     ImportedProgram IP = importGenerated(Seed + 1000);
@@ -98,54 +93,6 @@ TEST(CfgFuzz, ArtifactDifferential) {
     expectFixedIdentity(*B, In, 128, FuzzCap, Ctx);
     expectMarkerIdentity(*B, In, FuzzCap, Ctx);
   }
-}
-
-// Segmented re-execution alternating runFastSegment on the concrete
-// observer and on ExecutionObserver (virtual dispatch) at random split
-// points: the chained stream equals the straight run.
-TEST(CfgFuzz, CheckpointRotation) {
-  size_t Suspended = 0;
-  for (uint64_t Round = 0; Round < 40; ++Round) {
-    ImportedProgram IP = importGenerated(Round + 2000);
-    auto B = lower(*IP.Program, LoweringOptions::O2());
-    WorkloadInput In = irgen::makeInput(Round + 2000);
-    std::string Ctx = "cfg round " + std::to_string(Round);
-
-    RecordingObserver Ref;
-    RunResult RRef = Interpreter(*B, In).runFast(Ref, FuzzCap);
-
-    Rng R(splitMix64(Round ^ 0xcf6f00dull));
-    uint64_t Len = RRef.TotalInstrs > 0 ? RRef.TotalInstrs : 1;
-    std::vector<uint64_t> Until;
-    uint64_t NumSegs = 2 + R.nextBelow(4);
-    for (uint64_t S = 0; S + 1 < NumSegs; ++S)
-      Until.push_back(1 + R.nextBelow(Len));
-    std::sort(Until.begin(), Until.end());
-    Until.push_back(FuzzCap);
-
-    RecordingObserver Chained;
-    RunResult RLast;
-    InterpCheckpoint Cks[2];
-    const InterpCheckpoint *From = nullptr;
-    for (size_t S = 0; S < Until.size(); ++S) {
-      InterpCheckpoint *Out = &Cks[S % 2];
-      Interpreter I(*B, In);
-      RLast = S % 2 ? I.runFastSegment(
-                          static_cast<ExecutionObserver &>(Chained), From,
-                          Until[S], Out)
-                    : I.runFastSegment(Chained, From, Until[S], Out);
-      if (!Out->Finished && !Out->Frames.empty())
-        ++Suspended;
-      From = Out;
-    }
-
-    expectSameRun(RRef, RLast, Ctx);
-    ASSERT_EQ(Ref.Events.size(), Chained.Events.size()) << Ctx;
-    EXPECT_TRUE(Ref.Events == Chained.Events) << Ctx;
-  }
-  // Most rounds must actually suspend mid-run somewhere, or the loop never
-  // tested a real resume.
-  EXPECT_GE(Suspended, 20u);
 }
 
 // The canonical dump is a fixpoint: import -> lower -> dump, re-imported,

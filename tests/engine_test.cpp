@@ -4,9 +4,13 @@
 // ExecutionObserver) produces output byte-identical to runFast on the
 // concrete observer types, on real workloads, across every derived
 // artifact the pipeline computes: call-loop graph dumps, fixed-interval BBV
-// streams, marker interval streams, and cache statistics. Also pins that
-// run() dispatches virtually through the base, the ObserverMux/StaticMux
-// ordering guarantee, and the zero-weight call-candidate fallback.
+// streams, marker interval streams, and cache statistics. Generated
+// programs (tests/IrGen.h) and hand-built degenerate shapes run the same
+// contract against the RecordingObserver oracle: run() and runFast emit
+// identical event streams, and the production drivers match the
+// hand-wired virtual stacks. Also pins that run() dispatches virtually
+// through the base, the ObserverMux/StaticMux ordering guarantee, and the
+// zero-weight call-candidate fallback.
 //
 //===----------------------------------------------------------------------==//
 
@@ -17,13 +21,19 @@
 #include "markers/Selector.h"
 #include "workloads/Workloads.h"
 
+#include "DiffHarness.h"
+#include "IrGen.h"
+
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 using namespace spm;
+using namespace spm::difftest;
 
 namespace {
 
@@ -50,44 +60,6 @@ std::vector<RunCase> differentialCases() {
     Cases.push_back({Names[I] + "/seed1", Other});
   }
   return Cases;
-}
-
-void expectSameCounters(const PerfCounters &A, const PerfCounters &B,
-                        const std::string &Ctx) {
-  EXPECT_EQ(A.Instrs, B.Instrs) << Ctx;
-  EXPECT_EQ(A.BaseCycles, B.BaseCycles) << Ctx;
-  EXPECT_EQ(A.L1Accesses, B.L1Accesses) << Ctx;
-  EXPECT_EQ(A.L1Misses, B.L1Misses) << Ctx;
-  EXPECT_EQ(A.L2Accesses, B.L2Accesses) << Ctx;
-  EXPECT_EQ(A.L2Misses, B.L2Misses) << Ctx;
-  EXPECT_EQ(A.Branches, B.Branches) << Ctx;
-  EXPECT_EQ(A.Mispredicts, B.Mispredicts) << Ctx;
-}
-
-void expectSameIntervals(const std::vector<IntervalRecord> &A,
-                         const std::vector<IntervalRecord> &B,
-                         const std::string &Ctx) {
-  ASSERT_EQ(A.size(), B.size()) << Ctx;
-  for (size_t I = 0; I < A.size(); ++I) {
-    std::string C = Ctx + " interval " + std::to_string(I);
-    EXPECT_EQ(A[I].StartInstr, B[I].StartInstr) << C;
-    EXPECT_EQ(A[I].NumInstrs, B[I].NumInstrs) << C;
-    EXPECT_EQ(A[I].PhaseId, B[I].PhaseId) << C;
-    expectSameCounters(A[I].Perf, B[I].Perf, C);
-    ASSERT_EQ(A[I].Vector.size(), B[I].Vector.size()) << C;
-    for (size_t J = 0; J < A[I].Vector.size(); ++J) {
-      EXPECT_EQ(A[I].Vector[J].first, B[I].Vector[J].first) << C;
-      EXPECT_EQ(A[I].Vector[J].second, B[I].Vector[J].second) << C;
-    }
-  }
-}
-
-void expectSameRun(const RunResult &A, const RunResult &B,
-                   const std::string &Ctx) {
-  EXPECT_EQ(A.TotalInstrs, B.TotalInstrs) << Ctx;
-  EXPECT_EQ(A.TotalBlocks, B.TotalBlocks) << Ctx;
-  EXPECT_EQ(A.TotalMemAccesses, B.TotalMemAccesses) << Ctx;
-  EXPECT_EQ(A.HitInstrLimit, B.HitInstrLimit) << Ctx;
 }
 
 } // namespace
@@ -138,74 +110,17 @@ TEST(EngineDifferential, CallLoopGraphDump) {
   }
 }
 
-// Fixed-length intervals with BBVs and perf counters: legacy hand-wired
-// ObserverMux under run() vs the runFixedIntervals driver (StaticMux +
-// runFast).
-TEST(EngineDifferential, FixedIntervalsAndBbv) {
-  constexpr uint64_t Len = 100'000;
+// Fixed-length intervals with BBVs and perf counters, and marker-cut
+// intervals with the firing trace: the hand-wired ObserverMux stacks under
+// run() vs the runFixedIntervals and runMarkerIntervals drivers (StaticMux
+// + runFast).
+TEST(EngineDifferential, IntervalsAndFirings) {
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
         RC.Name.substr(0, RC.Name.find('/')));
     auto B = lower(*W.Program, LoweringOptions::O2());
-
-    std::vector<IntervalRecord> Legacy;
-    {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::fixedLength(Len, &Perf, true);
-      ObserverMux Mux;
-      Mux.add(&Ivb);
-      Mux.add(&Perf);
-      Interpreter(*B, RC.In).run(Mux, Cap);
-      Legacy = Ivb.takeIntervals();
-    }
-
-    std::vector<IntervalRecord> Engine =
-        runFixedIntervals(*B, RC.In, Len, true, Cap);
-    expectSameIntervals(Legacy, Engine, RC.Name);
-  }
-}
-
-// Marker-cut variable-length intervals and the firing trace: legacy
-// hand-wired stack under run() vs the runMarkerIntervals driver.
-TEST(EngineDifferential, MarkerIntervalsAndFirings) {
-  for (const RunCase &RC : differentialCases()) {
-    Workload W = WorkloadRegistry::create(
-        RC.Name.substr(0, RC.Name.find('/')));
-    auto B = lower(*W.Program, LoweringOptions::O2());
-    LoopIndex Loops = LoopIndex::build(*B);
-    auto G = buildCallLoopGraph(*B, Loops, RC.In, Cap);
-    SelectorConfig SC;
-    SelectionResult Sel = selectMarkers(*G, SC);
-    if (Sel.Markers.empty())
-      continue; // Nothing to differentiate on this input.
-
-    std::vector<IntervalRecord> LegacyIv;
-    std::vector<int32_t> LegacyFirings;
-    RunResult LegacyRun;
-    {
-      PerfModel Perf;
-      IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf, true);
-      CallLoopTracker Tracker(*B, Loops, *G);
-      MarkerRuntime Runtime(Sel.Markers, *G);
-      Tracker.addListener(&Runtime);
-      Runtime.setCallback([&](int32_t Idx) {
-        Ivb.requestCut(Idx);
-        LegacyFirings.push_back(Idx);
-      });
-      ObserverMux Mux;
-      Mux.add(&Tracker);
-      Mux.add(&Ivb);
-      Mux.add(&Perf);
-      LegacyRun = Interpreter(*B, RC.In).run(Mux, Cap);
-      LegacyIv = Ivb.takeIntervals();
-    }
-
-    MarkerRun Engine = runMarkerIntervals(*B, Loops, *G, Sel.Markers, RC.In,
-                                          /*CollectBbv=*/true,
-                                          /*RecordFirings=*/true, Cap);
-    EXPECT_EQ(LegacyFirings, Engine.Firings) << RC.Name;
-    expectSameRun(LegacyRun, Engine.Run, RC.Name);
-    expectSameIntervals(LegacyIv, Engine.Intervals, RC.Name);
+    expectFixedIdentity(*B, RC.In, 100'000, Cap, RC.Name);
+    expectMarkerIdentity(*B, RC.In, Cap, RC.Name);
   }
 }
 
@@ -229,44 +144,6 @@ TEST(EngineDifferential, CacheStats) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Records the full event sequence, including addresses, for exact
-/// stream-identity comparisons.
-class RecordingObserver : public ExecutionObserver {
-public:
-  struct Event {
-    enum class Kind { Block, Mem, Branch, Call, Ret } K;
-    uint64_t A = 0;
-    uint64_t B = 0;
-    bool Flag = false;
-    bool Backward = false;
-
-    bool operator==(const Event &O) const {
-      return K == O.K && A == O.A && B == O.B && Flag == O.Flag &&
-             Backward == O.Backward;
-    }
-  };
-
-  void onBlock(const LoweredBlock &Blk) override {
-    Events.push_back({Event::Kind::Block, Blk.Addr, 0, false, false});
-  }
-  void onMemAccess(uint64_t Addr, bool IsStore) override {
-    Events.push_back({Event::Kind::Mem, Addr, 0, IsStore, false});
-  }
-  void onBranch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
-                bool Conditional) override {
-    (void)Conditional;
-    Events.push_back({Event::Kind::Branch, Pc, Target, Taken, Backward});
-  }
-  void onCall(uint64_t Site, uint32_t Callee) override {
-    Events.push_back({Event::Kind::Call, Callee, Site, false, false});
-  }
-  void onReturn(uint32_t Callee) override {
-    Events.push_back({Event::Kind::Ret, Callee, 0, false, false});
-  }
-
-  std::vector<Event> Events;
-};
 
 /// Observer with no memory handler: runFast drops to the skipAccesses
 /// path, which must leave every other event and all RNG-derived state
@@ -470,4 +347,108 @@ TEST(Interpreter, ZeroWeightCallCandidatesFallBackToUniform) {
   CallCounter Counter2;
   Interpreter(*B, In).runFast(Counter2, Cap);
   EXPECT_EQ(Counter.Counts, Counter2.Counts);
+}
+
+//===----------------------------------------------------------------------===//
+// Generated and degenerate programs
+//===----------------------------------------------------------------------===//
+
+// 200 generated programs x 2 input seeds, on completed and cap-truncated
+// runs alike: run() and runFast, each into a RecordingObserver, agree on
+// the run totals and on every event.
+TEST(EngineGenerated, RunAndRunFastAgreeOnGeneratedPrograms) {
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    auto Prog = irgen::generateProgram(Seed);
+    auto B = lower(*Prog, LoweringOptions::O2());
+    for (uint64_t InSeed : {Seed, Seed + 1000})
+      diffOneProgram(*B, irgen::makeInput(InSeed),
+                     "program " + std::to_string(Seed) + " input " +
+                         std::to_string(InSeed));
+  }
+}
+
+// Graph, marker and fixed-interval drivers on generated programs against
+// the hand-wired virtual stacks.
+TEST(EngineGenerated, DriversMatchVirtualStacks) {
+  for (uint64_t Seed = 0; Seed < 8; ++Seed) {
+    auto Prog = irgen::generateProgram(Seed * 13 + 3);
+    auto B = lower(*Prog, LoweringOptions::O2());
+    WorkloadInput In = irgen::makeInput(Seed);
+    std::string Ctx = "program " + std::to_string(Seed);
+    expectMarkerIdentity(*B, In, FuzzCap, Ctx);
+    expectFixedIdentity(*B, In, 10'000, FuzzCap, Ctx);
+  }
+}
+
+// Edge shapes the generator only hits probabilistically, pinned down: an
+// empty program, a zero-trip-only body, a deep nesting chain,
+// depth-cap-saturating unconditional self-recursion, a trip-1 loop, and a
+// loop far longer than the instruction cap.
+TEST(EngineGenerated, DegenerateShapes) {
+  auto check = [](std::unique_ptr<SourceProgram> Prog, uint64_t Seed,
+                  const std::string &Ctx) {
+    auto B = lower(*Prog, LoweringOptions::O2());
+    diffOneProgram(*B, WorkloadInput(Ctx, Seed), Ctx);
+  };
+  {
+    ProgramBuilder PB("empty");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &) {});
+    check(PB.take(), 1, "empty main");
+  }
+  {
+    ProgramBuilder PB("zerotrip");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(0), [&] { FB.code(7); });
+    });
+    check(PB.take(), 2, "zero-trip loop");
+  }
+  {
+    ProgramBuilder PB("deep");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      std::function<void(int)> Nest = [&](int D) {
+        if (D == 0) {
+          FB.code(1);
+          return;
+        }
+        FB.loop(TripCountSpec::constant(2), [&] { Nest(D - 1); });
+      };
+      Nest(12);
+    });
+    check(PB.take(), 3, "deep nesting");
+  }
+  {
+    ProgramBuilder PB("satdepth");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.code(2);
+      FB.callIf(0, 1.0); // Terminates only via the MaxCallDepth cap.
+      FB.code(1);
+    });
+    check(PB.take(), 4, "depth-cap saturation");
+  }
+  {
+    ProgramBuilder PB("trip1");
+    PB.region(MemRegionSpec::fixed("r", 1024));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(1), [&] { FB.code(3); });
+    });
+    check(PB.take(), 5, "trip-1 loop");
+  }
+  {
+    ProgramBuilder PB("bigloop");
+    PB.region(MemRegionSpec::fixed("r", 4096));
+    PB.declare("main");
+    PB.define(0, [](FunctionBuilder &FB) {
+      FB.loop(TripCountSpec::constant(1'000'000), [&] { FB.code(8); });
+    });
+    check(PB.take(), 6, "loop longer than the cap");
+  }
 }

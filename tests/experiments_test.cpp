@@ -130,7 +130,7 @@ TEST(Shapes, Sec61_ReuseStrugglesOnIrregularSpmDoesNot) {
   // marker set on both.
   // "A token few" across gcc + vortex combined. The bound is 3 rather
   // than 2 because the counter-based Random mem-stream rework (which made
-  // random accesses checkpointable) legitimately shifted reuse-distance
+  // random accesses seekable in O(1)) legitimately shifted reuse-distance
   // samples enough for gcc to clear one extra marker; the claim under
   // test — reuse finds almost nothing where SPM finds a healthy set —
   // does not hinge on the exact count.

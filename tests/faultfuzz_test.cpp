@@ -1,6 +1,6 @@
 //===- tests/faultfuzz_test.cpp - fault injection and recovery fuzz -------==//
 //
-// The robustness proof for docs/robustness.md, in four layers:
+// The robustness proof for docs/robustness.md, in three layers:
 //
 //   1. Failpoint framework semantics: the spec grammar accepts exactly the
 //      documented modes, rejects typos loudly, and every trigger mode fires
@@ -13,34 +13,17 @@
 //      clearing reproduces the fault-free artifact byte for byte. A seam
 //      this suite does not know how to drive is a test failure, so new
 //      failpoints cannot land without recovery coverage.
-//   4. Crash-then-resume differential over generated programs
-//      (tests/IrGen.h): a marker pipeline run killed at a checkpoint
-//      boundary and resumed from the serialized bytes must reproduce the
-//      uninterrupted run's intervals, firings and totals exactly.
-//
-// Everything is a pure function of the program seed, so any failure
-// reproduces from the log alone.
 //
 //===----------------------------------------------------------------------==//
 
-#include "callloop/Profile.h"
 #include "cfg/Format.h"
 #include "cfg/Import.h"
-#include "ir/Lowering.h"
-#include "markers/Checkpoint.h"
-#include "markers/Pipeline.h"
-#include "markers/Selector.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
-#include "support/Random.h"
 #include "support/Trace.h"
-#include "vm/Interpreter.h"
 
 #include "CfgGen.h"
-#include "CkptTestUtil.h"
-#include "DiffHarness.h"
-#include "IrGen.h"
 
 #include <gtest/gtest.h>
 
@@ -52,17 +35,8 @@
 #include <vector>
 
 using namespace spm;
-using namespace spm::difftest;
 
 namespace {
-
-/// Instruction cap per fuzz run: the crash/resume differential runs each
-/// program several times, so it uses a tighter budget than the
-/// single-pass stream differentials.
-constexpr uint64_t FaultCap = 100'000;
-
-/// Program seeds in the crash-then-resume differential.
-constexpr uint64_t NumPrograms = 100;
 
 /// Every test leaves no armed failpoints, no counters, and no trace state
 /// behind, whatever path it exits through.
@@ -95,57 +69,6 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Uninterrupted run: a one-segment chain.
-MarkerRun runWhole(const Binary &B, const LoopIndex &Loops,
-                   const CallLoopGraph &G, const MarkerSet &M,
-                   const WorkloadInput &In, uint64_t Cap) {
-  MarkerStack S(B, Loops, G, M, In);
-  MarkerRun Out;
-  runChainSegment(S, "", Cap, /*Last=*/true, Out, "whole");
-  return Out;
-}
-
-/// Runs to the \p At boundary and returns the serialized full pipeline
-/// checkpoint (the `checkpoint save` flow); \p Left receives the intervals
-/// cut before the boundary.
-std::string saveAt(const Binary &B, const LoopIndex &Loops,
-                   const CallLoopGraph &G, const MarkerSet &M,
-                   const WorkloadInput &In, uint64_t At, MarkerRun &Left) {
-  MarkerStack S(B, Loops, G, M, In);
-  return runChainSegment(S, "", At, /*Last=*/false, Left, "save");
-}
-
-/// Finishes the run from the serialized boundary \p Bytes (the `checkpoint
-/// resume` flow), appending to the outputs \p Left holds from before the
-/// boundary.
-MarkerRun resumeFrom(const Binary &B, const LoopIndex &Loops,
-                     const CallLoopGraph &G, const MarkerSet &M,
-                     const WorkloadInput &In, const std::string &Bytes,
-                     MarkerRun Left, uint64_t Cap, const std::string &Ctx) {
-  MarkerStack S(B, Loops, G, M, In);
-  runChainSegment(S, Bytes, Cap, /*Last=*/true, Left, Ctx);
-  return Left;
-}
-
-/// One generated program, lowered, with markers selected.
-struct FuzzCase {
-  std::unique_ptr<Binary> B;
-  LoopIndex Loops;
-  std::unique_ptr<CallLoopGraph> G;
-  MarkerSet Markers;
-  WorkloadInput In;
-
-  explicit FuzzCase(uint64_t Seed) : In(irgen::makeInput(Seed)) {
-    auto Prog = irgen::generateProgram(Seed);
-    B = lower(*Prog, LoweringOptions::O2());
-    Loops = LoopIndex::build(*B);
-    G = buildCallLoopGraph(*B, Loops, In, FaultCap);
-    SelectorConfig SC;
-    SC.ILower = 100;
-    Markers = selectMarkers(*G, SC).Markers;
-  }
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -154,23 +77,19 @@ struct FuzzCase {
 
 TEST(FailPointSpec, GrammarAcceptsDocumentedModes) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
   EXPECT_TRUE(failpointsConfigure(""));
-  EXPECT_TRUE(failpointsConfigure("ckpt.write=throw"));
-  EXPECT_TRUE(failpointsConfigure("ckpt.write=throw:once"));
-  EXPECT_TRUE(failpointsConfigure("ckpt.write=throw:nth:3"));
-  EXPECT_TRUE(failpointsConfigure("ckpt.write=throw:every:2"));
-  EXPECT_TRUE(failpointsConfigure("ckpt.write=partial:7"));
+  EXPECT_TRUE(failpointsConfigure("tool.write=throw"));
+  EXPECT_TRUE(failpointsConfigure("tool.write=throw:once"));
+  EXPECT_TRUE(failpointsConfigure("tool.write=throw:nth:3"));
+  EXPECT_TRUE(failpointsConfigure("tool.write=throw:every:2"));
+  EXPECT_TRUE(failpointsConfigure("tool.write=partial:7"));
   EXPECT_TRUE(failpointsConfigure(
-      "ckpt.write=partial:3,ckpt.read=throw:every:2,cfg.import=throw"));
+      "tool.write=partial:3,cfg.import=throw:every:2,bench.write=throw"));
   failpointsClear();
 }
 
 TEST(FailPointSpec, GrammarRejectsTyposLoudly) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
   struct BadSpec {
     const char *Spec;
     const char *ErrPiece;
@@ -179,14 +98,14 @@ TEST(FailPointSpec, GrammarRejectsTyposLoudly) {
       {"nonsense", "not name=mode"},
       {"=throw", "not name=mode"},
       {"not-a-seam=throw", "unknown failpoint"},
-      {"ckpt.write=bogus", "unknown mode"},
-      {"ckpt.write=throw:nth:", "positive count"},
-      {"ckpt.write=throw:nth:0", "positive count"},
-      {"ckpt.write=throw:nth:x", "positive count"},
-      {"ckpt.write=throw:every:0", "positive period"},
-      {"ckpt.write=partial:", "positive byte count"},
-      {"ckpt.write=partial:99999999999999999999", "positive byte count"},
-      {"ckpt.write=throw,oops=throw", "unknown failpoint"},
+      {"tool.write=bogus", "unknown mode"},
+      {"tool.write=throw:nth:", "positive count"},
+      {"tool.write=throw:nth:0", "positive count"},
+      {"tool.write=throw:nth:x", "positive count"},
+      {"tool.write=throw:every:0", "positive period"},
+      {"tool.write=partial:", "positive byte count"},
+      {"tool.write=partial:99999999999999999999", "positive byte count"},
+      {"tool.write=throw,oops=throw", "unknown failpoint"},
   };
   for (const BadSpec &S : Bad) {
     std::string Err;
@@ -194,55 +113,51 @@ TEST(FailPointSpec, GrammarRejectsTyposLoudly) {
     EXPECT_NE(Err.find(S.ErrPiece), std::string::npos)
         << S.Spec << " -> " << Err;
     // A rejected spec must leave nothing armed.
-    EXPECT_NO_THROW(failpointCheck("ckpt.write")) << S.Spec;
+    EXPECT_NO_THROW(failpointCheck("tool.write")) << S.Spec;
   }
 }
 
 TEST(FailPointSpec, TriggerModesFireOnDocumentedHitsOnly) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
-  auto Fires = [] { return failpointEval("ckpt.read").K; };
+  auto Fires = [] { return failpointEval("cfg.import").K; };
 
-  ASSERT_TRUE(failpointsConfigure("ckpt.read=throw"));
+  ASSERT_TRUE(failpointsConfigure("cfg.import=throw"));
   for (int H = 1; H <= 4; ++H)
     EXPECT_EQ(Fires(), FailAction::Kind::Throw) << "hit " << H;
 
-  ASSERT_TRUE(failpointsConfigure("ckpt.read=throw:once"));
+  ASSERT_TRUE(failpointsConfigure("cfg.import=throw:once"));
   EXPECT_EQ(Fires(), FailAction::Kind::Throw);
   for (int H = 2; H <= 4; ++H)
     EXPECT_EQ(Fires(), FailAction::Kind::None) << "hit " << H;
 
-  ASSERT_TRUE(failpointsConfigure("ckpt.read=throw:nth:3"));
+  ASSERT_TRUE(failpointsConfigure("cfg.import=throw:nth:3"));
   EXPECT_EQ(Fires(), FailAction::Kind::None);
   EXPECT_EQ(Fires(), FailAction::Kind::None);
   EXPECT_EQ(Fires(), FailAction::Kind::Throw);
   EXPECT_EQ(Fires(), FailAction::Kind::None);
 
-  ASSERT_TRUE(failpointsConfigure("ckpt.read=throw:every:2"));
+  ASSERT_TRUE(failpointsConfigure("cfg.import=throw:every:2"));
   EXPECT_EQ(Fires(), FailAction::Kind::None);
   EXPECT_EQ(Fires(), FailAction::Kind::Throw);
   EXPECT_EQ(Fires(), FailAction::Kind::None);
   EXPECT_EQ(Fires(), FailAction::Kind::Throw);
-  EXPECT_EQ(failpointHits("ckpt.read"), 4u);
+  EXPECT_EQ(failpointHits("cfg.import"), 4u);
 
-  ASSERT_TRUE(failpointsConfigure("ckpt.read=partial:5"));
-  FailAction A = failpointEval("ckpt.read");
+  ASSERT_TRUE(failpointsConfigure("cfg.import=partial:5"));
+  FailAction A = failpointEval("cfg.import");
   EXPECT_EQ(A.K, FailAction::Kind::Partial);
   EXPECT_EQ(A.Arg, 5u);
-  EXPECT_EQ(failpointEval("ckpt.read").K, FailAction::Kind::None);
+  EXPECT_EQ(failpointEval("cfg.import").K, FailAction::Kind::None);
 
   // An unarmed seam never fires, even while another is armed.
   EXPECT_EQ(failpointEval("bench.write").K, FailAction::Kind::None);
   failpointsClear();
-  EXPECT_EQ(failpointEval("ckpt.read").K, FailAction::Kind::None);
-  EXPECT_EQ(failpointHits("ckpt.read"), 0u);
+  EXPECT_EQ(failpointEval("cfg.import").K, FailAction::Kind::None);
+  EXPECT_EQ(failpointHits("cfg.import"), 0u);
 }
 
 TEST(FailPointSpec, CheckThrowsNamedException) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
   ASSERT_TRUE(failpointsConfigure("cfg.import=throw"));
   try {
     failpointCheck("cfg.import");
@@ -253,18 +168,6 @@ TEST(FailPointSpec, CheckThrowsNamedException) {
     EXPECT_NE(std::string(E.what()).find("injected fault"),
               std::string::npos);
   }
-}
-
-TEST(FailPointSpec, CompiledOutRefusesToArm) {
-  FaultGuard Guard;
-  if (failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled in";
-  EXPECT_TRUE(failpointsConfigure(""));
-  std::string Err;
-  EXPECT_FALSE(failpointsConfigure("ckpt.write=throw", &Err));
-  EXPECT_NE(Err.find("compiled out"), std::string::npos) << Err;
-  EXPECT_NO_THROW(failpointCheck("ckpt.write"));
-  EXPECT_EQ(failpointHits("ckpt.write"), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -285,8 +188,6 @@ TEST(AtomicWrite, CommitsAndOverwritesCleanly) {
 
 TEST(AtomicWrite, InjectedThrowLeavesDestinationUntouched) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
   const std::string Path = "faultfuzz_aw_throw.txt";
   std::string Err;
   ASSERT_TRUE(atomicWriteFile(Path, "old\n", &Err)) << Err;
@@ -303,8 +204,6 @@ TEST(AtomicWrite, InjectedThrowLeavesDestinationUntouched) {
 
 TEST(AtomicWrite, InjectedPartialWriteLeavesNoTrace) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
   const std::string Path = "faultfuzz_aw_torn.txt";
   std::remove(Path.c_str());
 
@@ -342,14 +241,8 @@ TEST(AtomicWrite, InjectedPartialWriteLeavesNoTrace) {
 // driver for fail the test — recovery coverage is mandatory for new seams.
 TEST(FaultFuzz, KillAtEverySeamThenHeal) {
   FaultGuard Guard;
-  if (!failpointsCompiledIn())
-    GTEST_SKIP() << "failpoints compiled out";
 
-  // Shared fixtures the drivers below reuse.
-  PipelineCheckpoint Ck;
-  Ck.Seed = 7;
-  Ck.Interp.TotalInstrs = 42;
-  const std::string CkBytes = serializeCheckpoint(Ck);
+  // Shared fixture the drivers below reuse.
   std::string CfgText = cfggen::generateCfgText(1);
   std::string CfgErr;
   std::optional<cfg::CfgProgram> Cfg = cfg::parseCfg(CfgText, &CfgErr);
@@ -359,25 +252,14 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
   for (const std::string &Seam : failpointSeamNames()) {
     ASSERT_TRUE(failpointsConfigure(Seam + "=throw")) << Seam;
 
-    if (Seam == "ckpt.serialize") {
-      EXPECT_THROW(serializeCheckpoint(Ck), FailPointInjected);
-      failpointsClear();
-      EXPECT_EQ(serializeCheckpoint(Ck), CkBytes);
-    } else if (Seam == "ckpt.read") {
-      EXPECT_THROW(parseCheckpoint(CkBytes), FailPointInjected);
-      failpointsClear();
-      std::optional<PipelineCheckpoint> P = parseCheckpoint(CkBytes);
-      ASSERT_TRUE(P.has_value());
-      EXPECT_EQ(serializeCheckpoint(*P), CkBytes);
-    } else if (Seam == "cfg.import") {
+    if (Seam == "cfg.import") {
       std::string Err;
       EXPECT_THROW(cfg::importCfg(*Cfg, {}, &Err), FailPointInjected);
       failpointsClear();
       std::optional<cfg::ImportedProgram> IP = cfg::importCfg(*Cfg, {}, &Err);
       EXPECT_TRUE(IP.has_value()) << Err;
-    } else if (Seam == "ckpt.write" || Seam == "tool.write" ||
-               Seam == "bench.write" || Seam == "trace.write" ||
-               Seam == "metrics.write") {
+    } else if (Seam == "tool.write" || Seam == "bench.write" ||
+               Seam == "trace.write" || Seam == "metrics.write") {
       const std::string Path = "faultfuzz_seam_" + Seam + ".txt";
       std::string Err;
       EXPECT_FALSE(atomicWriteFile(Path, "payload", &Err, Seam.c_str()));
@@ -399,58 +281,4 @@ TEST(FaultFuzz, KillAtEverySeamThenHeal) {
     Covered.insert(Seam);
   }
   EXPECT_EQ(Covered.size(), failpointSeamNames().size());
-}
-
-//===----------------------------------------------------------------------===//
-// Layer 4a: crash-then-resume differential over generated programs
-//===----------------------------------------------------------------------===//
-
-// For every generated program: run the full marker pipeline
-// uninterrupted, then again with a mid-run checkpoint boundary — crashing
-// the first serialization attempt, rejecting a corrupted copy of the
-// bytes, and finally resuming from the good copy. The boundary split must
-// be invisible: left + right intervals, firings and final totals equal the
-// uninterrupted run's exactly.
-TEST(FaultFuzz, CrashThenResumeDifferential) {
-  FaultGuard Guard;
-  for (uint64_t Seed = 0; Seed < NumPrograms; ++Seed) {
-    FuzzCase FC(Seed);
-    std::string Ctx = "seed " + std::to_string(Seed);
-    MarkerRun Whole =
-        runWhole(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, FaultCap);
-    uint64_t At = Whole.Run.TotalInstrs / 2;
-
-    // Crash the first save attempt at the serialization seam; the world
-    // stays rerunnable (every 8th program, to bound runtime).
-    if (failpointsCompiledIn() && Seed % 8 == 0) {
-      ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw"));
-      MarkerRun Scratch;
-      EXPECT_THROW(
-          saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, At, Scratch),
-          FailPointInjected)
-          << Ctx;
-      failpointsClear();
-    }
-
-    MarkerRun Left;
-    std::string Bytes =
-        saveAt(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In, At, Left);
-
-    // A corrupted copy must be rejected with a named diagnostic before any
-    // state is restored (offset is seed-derived, always past the header).
-    {
-      std::string Bad = Bytes;
-      size_t Off = ckptutil::HeaderSize +
-                   splitMix64(Seed * 3) % (Bad.size() - ckptutil::HeaderSize);
-      Bad[Off] = static_cast<char>(static_cast<uint8_t>(Bad[Off]) ^ 0xff);
-      std::string PErr;
-      EXPECT_FALSE(parseCheckpoint(Bad, &PErr).has_value()) << Ctx;
-      EXPECT_NE(PErr.find("ckpt["), std::string::npos) << Ctx << ": " << PErr;
-    }
-
-    expectSameMarkerRun(Whole,
-                        resumeFrom(*FC.B, FC.Loops, *FC.G, FC.Markers, FC.In,
-                                   Bytes, Left, FaultCap, Ctx),
-                        Ctx + " (stitched)");
-  }
 }

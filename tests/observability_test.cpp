@@ -19,17 +19,15 @@
 
 #include "callloop/Profile.h"
 #include "ir/Lowering.h"
-#include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
+#include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workloads/Workloads.h"
-
-#include "CkptTestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -45,7 +43,7 @@ using namespace spm;
 
 namespace {
 
-/// Mid-run cap, same spirit as the engine/segment tests: spans and counters
+/// Mid-run cap, same spirit as the engine tests: spans and counters
 /// must be exact even when the run stops inside live loop nests.
 constexpr uint64_t Cap = 1'000'000;
 
@@ -527,59 +525,21 @@ TEST(Metrics, ExactPipelineCounters) {
 // one fault.injected, and hits that do not trigger add nothing.
 TEST(Metrics, ExactFaultCounter) {
   ObsGuard Guard;
-  if (!failpointsCompiledIn()) {
-    // Compiled-out builds must refuse to arm rather than silently no-op.
-    std::string Err;
-    EXPECT_FALSE(failpointsConfigure("ckpt.serialize=throw:once", &Err));
-    EXPECT_NE(Err.find("compiled out"), std::string::npos) << Err;
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  PipelineCheckpoint C;
-  C.Seed = 9;
-  C.Interp.TotalInstrs = 5;
-  std::string Base = serializeCheckpoint(C);
-
+  const std::string Path = "obs_fault_counter.txt";
   std::string Err;
-  ASSERT_TRUE(failpointsConfigure("ckpt.serialize=throw:once", &Err)) << Err;
+  ASSERT_TRUE(failpointsConfigure("tool.write=throw:once", &Err)) << Err;
   spmTraceSetEnabled(true);
-  EXPECT_THROW(serializeCheckpoint(C), FailPointInjected);
-  // `once` has fired: the second hit passes and writes the same bytes.
-  EXPECT_EQ(serializeCheckpoint(C), Base);
+  EXPECT_FALSE(atomicWriteFile(Path, "payload", &Err));
+  EXPECT_NE(Err.find("injected fault"), std::string::npos) << Err;
+  // `once` has fired: the second hit passes and writes the file.
+  EXPECT_TRUE(atomicWriteFile(Path, "payload", &Err)) << Err;
   spmTraceSetEnabled(false);
-  EXPECT_EQ(failpointHits("ckpt.serialize"), 2u);
+  EXPECT_EQ(failpointHits("tool.write"), 2u);
   failpointsClear();
+  std::remove(Path.c_str());
 
   EXPECT_EQ(metrics().counterValue("fault.injected"),
             traceCompiledIn() ? 1u : 0u);
-}
-
-// Every CRC rejection during checkpoint parsing is counted exactly once.
-TEST(Metrics, ExactCrcFailureCounter) {
-  ObsGuard Guard;
-  PipelineCheckpoint C;
-  C.Seed = 9;
-  C.Interp.TotalInstrs = 5;
-  std::string Bytes = serializeCheckpoint(C);
-  std::string Bad = Bytes;
-  Bad[Bad.size() - ckptutil::TrailerSize - 1] ^= 0x01;
-
-  spmTraceSetEnabled(true);
-  std::string Err;
-  EXPECT_FALSE(parseCheckpoint(Bad, &Err).has_value());
-  spmTraceSetEnabled(false);
-  EXPECT_NE(Err.find("ckpt[crc:"), std::string::npos) << Err;
-
-  if (!traceCompiledIn()) {
-    EXPECT_EQ(metrics().counterValue("ckpt.crc_failures"), 0u);
-    return;
-  }
-  EXPECT_EQ(metrics().counterValue("ckpt.crc_failures"), 1u);
-
-  // A clean parse adds nothing.
-  spmTraceSetEnabled(true);
-  EXPECT_TRUE(parseCheckpoint(Bytes).has_value());
-  spmTraceSetEnabled(false);
-  EXPECT_EQ(metrics().counterValue("ckpt.crc_failures"), 1u);
 }
 
 // Gated mutators are inert while disabled; force* mutators always record.

@@ -377,72 +377,6 @@ TEST(Table, RaggedRowsRender) {
 }
 
 //===----------------------------------------------------------------------===//
-// RNG state save/restore (checkpoint support)
-//===----------------------------------------------------------------------===//
-
-TEST(Random, StateRoundTripResumesStream) {
-  Rng A(0xdecafULL);
-  // Burn an arbitrary prefix mixing draw kinds so all state words move.
-  for (int I = 0; I < 137; ++I) {
-    A.next();
-    A.nextBelow(10 + I);
-    A.nextDouble();
-  }
-  RngState St = A.state();
-  Rng B(1); // Different seed: every word must come from the snapshot.
-  B.setState(St);
-  for (int I = 0; I < 1000; ++I)
-    EXPECT_EQ(A.next(), B.next());
-}
-
-TEST(Random, StateRoundTripPreservesGaussianSpare) {
-  Rng A(0xfeedULL);
-  // Draw an odd number of Gaussians so a spare is buffered.
-  A.nextGaussian();
-  RngState St = A.state();
-  EXPECT_TRUE(St.HaveSpare);
-
-  Rng B(2);
-  B.setState(St);
-  // The buffered spare must come out first on both, then the streams
-  // continue in lockstep.
-  EXPECT_EQ(A.nextGaussian(), B.nextGaussian());
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(A.nextGaussian(), B.nextGaussian());
-  EXPECT_EQ(A.next(), B.next());
-}
-
-TEST(Random, StateSnapshotIsImmutable) {
-  // Advancing the source generator must not change an already-taken
-  // snapshot (it is a value copy, not a view).
-  Rng A(11);
-  RngState St = A.state();
-  RngState Copy = St;
-  A.next();
-  A.nextGaussian();
-  for (int I = 0; I < 4; ++I)
-    EXPECT_EQ(St.S[I], Copy.S[I]);
-  EXPECT_EQ(St.HaveSpare, Copy.HaveSpare);
-
-  // And restoring twice from the same snapshot replays the same stream.
-  Rng B(3), C(4);
-  B.setState(St);
-  C.setState(St);
-  for (int I = 0; I < 200; ++I)
-    EXPECT_EQ(B.next(), C.next());
-}
-
-TEST(Random, SplitMixStateRoundTrip) {
-  SplitMix64 A(99);
-  for (int I = 0; I < 57; ++I)
-    A.next();
-  SplitMix64 B(0);
-  B.setState(A.state());
-  for (int I = 0; I < 500; ++I)
-    EXPECT_EQ(A.next(), B.next());
-}
-
-//===----------------------------------------------------------------------===//
 // MetricHistogram percentiles
 //===----------------------------------------------------------------------===//
 

@@ -25,7 +25,6 @@
 #include "cfg/Format.h"
 #include "cfg/Import.h"
 #include "ir/Lowering.h"
-#include "markers/Checkpoint.h"
 #include "markers/Pipeline.h"
 #include "markers/Selector.h"
 #include "markers/Serialize.h"
@@ -70,11 +69,6 @@ int usage() {
       "                  [--per-phase] [--per-phase-out <jsonl>]\n"
       "  spm_tool bench [<workload>...] [--jobs N] [--ilower N] [--limit N]\n"
       "  spm_tool bench --profile [<workload>...] [--reps N] [-o <json>]\n"
-      "  spm_tool checkpoint save <workload> <marker-file> --at N\n"
-      "                  [-o <ckpt>] [--intervals <file>] [--input train|ref]\n"
-      "  spm_tool checkpoint resume <workload> <marker-file> <ckpt>\n"
-      "                  [--intervals <file>] [--input train|ref]\n"
-      "  spm_tool checkpoint verify <workload> <ckpt> [--input train|ref]\n"
       "  spm_tool dot <workload> [--input train|ref]\n"
       "  spm_tool import <cfg-file> [--split-irreducible] [-o <file>]\n"
       "                  [--report [--param NAME=VALUE]... [--seed N]\n"
@@ -86,8 +80,8 @@ int usage() {
       "        --metrics-out FILE enables spmtrace and writes the metrics\n"
       "        registry as JSONL ('-' = stderr as text)\n"
       "        --failpoints SPEC arms named fault-injection points, e.g.\n"
-      "        ckpt.write=partial:3,ckpt.read=throw:every:2 (testing;\n"
-      "        needs an SPM_FAILPOINTS=ON build, see docs/robustness.md)\n"
+      "        tool.write=partial:3,cfg.import=throw (testing; see\n"
+      "        docs/robustness.md)\n"
       "        report --per-phase prints the per-phase attribution table;\n"
       "        --per-phase-out FILE writes it as JSONL with a provenance\n"
       "        header line (docs/FORMATS.md)\n"
@@ -183,8 +177,6 @@ struct CommonArgs {
   SelectorConfig Config;
   bool Profile = false;
   int Reps = 3;
-  uint64_t At = 0;
-  std::string IntervalsPath;
   std::string TraceOut;
   std::string MetricsOut;
   std::string Failpoints;
@@ -245,10 +237,6 @@ CommonArgs parseArgs(int Argc, char **Argv, int Start) {
         A.Reps = static_cast<int>(N);
       else
         A.Bad = true;
-    } else if (Arg == "--at" && I + 1 < Argc) {
-      A.Bad |= !parseCount("--at", Argv[++I], A.At);
-    } else if (valueOpt(Arg, "--intervals", I, Argc, Argv, V)) {
-      A.IntervalsPath = V;
     } else if (valueOpt(Arg, "--trace-out", I, Argc, Argv, V)) {
       A.TraceOut = V;
     } else if (valueOpt(Arg, "--metrics-out", I, Argc, Argv, V)) {
@@ -307,8 +295,9 @@ std::string provenanceJson(const std::string &Cmd, const CommonArgs &A) {
          (traceCompiledIn() ? "true" : "false");
   Out += std::string(", \"trace_enabled\": ") +
          (spmTraceEnabled() ? "true" : "false");
-  Out += std::string(", \"failpoints_compiled_in\": ") +
-         (failpointsCompiledIn() ? "true" : "false");
+  // Failpoints are always compiled in; the key stays so every header
+  // keeps its shape (docs/FORMATS.md).
+  Out += ", \"failpoints_compiled_in\": true";
   Out += ", \"failpoints\": \"" + jsonEscape(A.Failpoints) + "\"";
   Out += "}";
   return Out;
@@ -755,290 +744,6 @@ int cmdBenchProfile(const CommonArgs &A) {
   return StageError.empty() ? 0 : 1;
 }
 
-/// One line per interval: every field that makes the record, so two dumps
-/// compare with cmp(1). The save+resume smoke test concatenates the two
-/// dumps and requires byte-equality with an uninterrupted run's dump.
-std::string dumpIntervals(const std::vector<IntervalRecord> &Iv) {
-  std::string Out;
-  char Buf[256];
-  for (const IntervalRecord &R : Iv) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "%llu %llu %d %llu %llu %llu %llu %llu %llu\n",
-                  static_cast<unsigned long long>(R.StartInstr),
-                  static_cast<unsigned long long>(R.NumInstrs), R.PhaseId,
-                  static_cast<unsigned long long>(R.Perf.BaseCycles),
-                  static_cast<unsigned long long>(R.Perf.L1Accesses),
-                  static_cast<unsigned long long>(R.Perf.L1Misses),
-                  static_cast<unsigned long long>(R.Perf.Branches),
-                  static_cast<unsigned long long>(R.Perf.Mispredicts),
-                  static_cast<unsigned long long>(R.Perf.Instrs));
-    Out += Buf;
-  }
-  return Out;
-}
-
-/// Shared setup of `checkpoint save` / `checkpoint resume`: the marker
-/// pipeline of cmdReport, but driven through resumable segments.
-struct CheckpointPipeline {
-  std::unique_ptr<Binary> Bin;
-  LoopIndex Loops;
-  std::unique_ptr<CallLoopGraph> G;
-  MarkerSet M;
-  WorkloadInput In;
-
-  PerfModel Perf;
-  IntervalBuilder Ivb = IntervalBuilder::markerDriven(&Perf,
-                                                      /*CollectBbv=*/false);
-  std::unique_ptr<CallLoopTracker> Tracker;
-  std::unique_ptr<MarkerRuntime> Runtime;
-
-  /// Nonzero exit code on failure; 0 when ready to run.
-  int init(const CommonArgs &A, const std::string &WlName,
-           const std::string &MarkerPath) {
-    if (!knownWorkload(WlName)) {
-      std::fprintf(stderr, "checkpoint: unknown workload %s\n",
-                   WlName.c_str());
-      return 1;
-    }
-    std::string Text;
-    if (!readFile(MarkerPath, Text)) {
-      std::fprintf(stderr, "checkpoint: cannot read %s\n",
-                   MarkerPath.c_str());
-      return 1;
-    }
-    std::string Err;
-    auto Portable = parseMarkers(Text, &Err);
-    if (!Portable) {
-      std::fprintf(stderr, "checkpoint: %s\n", Err.c_str());
-      return 1;
-    }
-    Workload W = WorkloadRegistry::create(WlName);
-    Bin = lower(*W.Program, LoweringOptions::O2());
-    Loops = LoopIndex::build(*Bin);
-    G = std::make_unique<CallLoopGraph>(*Bin, Loops);
-    M = fromPortable(*Portable, *G, *Bin, Loops);
-    In = A.UseRef ? W.Ref : W.Train;
-    Tracker = std::make_unique<CallLoopTracker>(*Bin, Loops, *G);
-    Runtime = std::make_unique<MarkerRuntime>(M, *G);
-    Tracker->addListener(Runtime.get());
-    Runtime->setCallback([this](int32_t Idx) { Ivb.requestCut(Idx); });
-    return 0;
-  }
-};
-
-int cmdCheckpointSave(const CommonArgs &A) {
-  if (A.Positional.size() < 3) {
-    std::fprintf(stderr,
-                 "checkpoint save: need <workload> <marker-file> --at N\n");
-    return 1;
-  }
-  CheckpointPipeline P;
-  if (int Rc = P.init(A, A.Positional[1], A.Positional[2]))
-    return Rc;
-  uint64_t At =
-      A.At > 0 ? A.At : std::numeric_limits<uint64_t>::max();
-
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(
-      *P.Tracker, P.Ivb, P.Perf);
-  Interpreter Interp(*P.Bin, P.In);
-  Mux.onRunStart(*P.Bin, P.In);
-  PipelineCheckpoint C;
-  RunResult R = Interp.runFastSegment(Mux, nullptr, At, &C.Interp);
-  // Run framing: a run that completed before the boundary gets its normal
-  // end (pop-all + final cut) before states are captured, so resuming the
-  // checkpoint is a no-op rather than a duplicate final interval.
-  if (C.Interp.Finished)
-    Mux.onRunEnd(R.TotalInstrs);
-  C.Seed = P.In.seed();
-  C.HasTracker = true;
-  C.Tracker = P.Tracker->saveState();
-  C.HasInterval = true;
-  C.Interval = P.Ivb.saveState();
-  C.HasPerf = true;
-  C.Perf = P.Perf.saveState();
-  C.HasMarkers = true;
-  C.Markers = P.Runtime->saveState();
-
-  if (!writeOutput(A.OutPath, serializeCheckpoint(C), "ckpt.write")) {
-    std::fprintf(stderr, "checkpoint save: cannot write %s\n",
-                 A.OutPath.c_str());
-    return 1;
-  }
-  if (!A.IntervalsPath.empty() &&
-      !writeOutput(A.IntervalsPath, dumpIntervals(P.Ivb.takeIntervals()))) {
-    std::fprintf(stderr, "checkpoint save: cannot write %s\n",
-                 A.IntervalsPath.c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "checkpoint save: %llu instrs%s\n",
-               static_cast<unsigned long long>(R.TotalInstrs),
-               C.Interp.Finished ? " (run complete)" : "");
-  return 0;
-}
-
-int cmdCheckpointResume(const CommonArgs &A) {
-  if (A.Positional.size() < 4) {
-    std::fprintf(
-        stderr,
-        "checkpoint resume: need <workload> <marker-file> <ckpt-file>\n");
-    return 1;
-  }
-  CheckpointPipeline P;
-  if (int Rc = P.init(A, A.Positional[1], A.Positional[2]))
-    return Rc;
-  std::string Raw;
-  if (!readFile(A.Positional[3], Raw)) {
-    std::fprintf(stderr, "checkpoint resume: cannot read %s\n",
-                 A.Positional[3].c_str());
-    return 1;
-  }
-  std::string Err;
-  auto C = parseCheckpoint(Raw, &Err);
-  if (!C) {
-    std::fprintf(stderr, "checkpoint resume: %s\n", Err.c_str());
-    return 1;
-  }
-  if (C->Seed != P.In.seed()) {
-    std::fprintf(stderr,
-                 "checkpoint resume: checkpoint was taken with seed %llu "
-                 "but this input uses %llu\n",
-                 static_cast<unsigned long long>(C->Seed),
-                 static_cast<unsigned long long>(P.In.seed()));
-    return 1;
-  }
-  if (!C->HasTracker || !C->HasInterval || !C->HasPerf || !C->HasMarkers) {
-    std::fprintf(stderr,
-                 "checkpoint resume: checkpoint lacks a pipeline section\n");
-    return 1;
-  }
-  if (!P.Tracker->restoreState(C->Tracker) ||
-      !P.Perf.restoreState(C->Perf) ||
-      !P.Runtime->restoreState(C->Markers)) {
-    std::fprintf(stderr,
-                 "checkpoint resume: checkpoint does not fit this "
-                 "workload's pipeline\n");
-    return 1;
-  }
-  P.Ivb.restoreState(C->Interval);
-
-  StaticMux<CallLoopTracker, IntervalBuilder, PerfModel> Mux(
-      *P.Tracker, P.Ivb, P.Perf);
-  Interpreter Interp(*P.Bin, P.In);
-  uint64_t Resumed = C->Interp.TotalInstrs;
-  RunResult R;
-  R.TotalInstrs = Resumed;
-  if (!C->Interp.Finished) {
-    R = Interp.runFastSegment(Mux, &C->Interp,
-                              std::numeric_limits<uint64_t>::max());
-    Mux.onRunEnd(R.TotalInstrs);
-  }
-  std::vector<IntervalRecord> Iv = P.Ivb.takeIntervals();
-  if (!A.IntervalsPath.empty() &&
-      !writeOutput(A.IntervalsPath, dumpIntervals(Iv))) {
-    std::fprintf(stderr, "checkpoint resume: cannot write %s\n",
-                 A.IntervalsPath.c_str());
-    return 1;
-  }
-  Table T;
-  T.row().cell("metric").cell("value");
-  T.row().cell("resumed at").cell(Resumed);
-  T.row().cell("total instructions").cell(R.TotalInstrs);
-  T.row().cell("intervals after resume").cell(
-      static_cast<uint64_t>(Iv.size()));
-  std::printf("%s", T.str().c_str());
-  return 0;
-}
-
-/// `checkpoint verify`: the full integrity ladder a checkpoint must climb
-/// before it is trusted — magic, version, whole-file and per-section CRCs,
-/// strict structural parse, and InterpCheckpoint::validateFor against the
-/// workload's binary — plus a human-readable section summary. Any rung
-/// failing prints the parser's named ckpt[...] diagnostic and exits
-/// nonzero, without executing anything.
-int cmdCheckpointVerify(const CommonArgs &A) {
-  if (A.Positional.size() < 3) {
-    std::fprintf(stderr, "checkpoint verify: need <workload> <ckpt-file>\n");
-    return 1;
-  }
-  const std::string &WlName = A.Positional[1];
-  if (!knownWorkload(WlName)) {
-    std::fprintf(stderr, "checkpoint: unknown workload %s\n",
-                 WlName.c_str());
-    return 1;
-  }
-  std::string Raw;
-  if (!readFile(A.Positional[2], Raw)) {
-    std::fprintf(stderr, "checkpoint verify: cannot read %s\n",
-                 A.Positional[2].c_str());
-    return 1;
-  }
-  std::string Err;
-  std::vector<CheckpointSectionInfo> Secs;
-  auto C = parseCheckpoint(Raw, &Err, &Secs);
-  if (!C) {
-    std::fprintf(stderr, "checkpoint verify: %s\n", Err.c_str());
-    return 1;
-  }
-  Workload W = WorkloadRegistry::create(WlName);
-  auto Bin = lower(*W.Program, LoweringOptions::O2());
-  if (!C->Interp.validateFor(*Bin, &Err)) {
-    std::fprintf(stderr, "checkpoint verify: ckpt[validate]: %s\n",
-                 Err.c_str());
-    return 1;
-  }
-  const WorkloadInput &In = A.UseRef ? W.Ref : W.Train;
-  if (C->Seed != In.seed())
-    std::fprintf(stderr,
-                 "checkpoint verify: note: seed %llu differs from this "
-                 "input's %llu (resume would refuse it)\n",
-                 static_cast<unsigned long long>(C->Seed),
-                 static_cast<unsigned long long>(In.seed()));
-
-  Table T;
-  T.row().cell("field").cell("value");
-  T.row().cell("file bytes").cell(static_cast<uint64_t>(Raw.size()));
-  T.row().cell("version").cell(
-      static_cast<uint64_t>(PipelineCheckpoint::Version));
-  T.row().cell("seed").cell(C->Seed);
-  T.row().cell("instructions").cell(C->Interp.TotalInstrs);
-  T.row().cell("resume frames").cell(
-      static_cast<uint64_t>(C->Interp.Frames.size()));
-  T.row().cell("finished").cell(
-      std::string(C->Interp.Finished ? "yes" : "no"));
-  std::printf("%s\nsections:\n", T.str().c_str());
-  Table S;
-  S.row().cell("section").cell("present").cell("payload bytes");
-  for (const CheckpointSectionInfo &Sec : Secs) {
-    auto &R = S.row().cell(Sec.Name).cell(
-        std::string(Sec.Present ? "yes" : "no"));
-    if (Sec.Present)
-      R.cell(Sec.Bytes);
-    else
-      R.cell(std::string("-"));
-  }
-  std::printf("%s", S.str().c_str());
-  std::printf("checkpoint OK: magic, version, CRCs, structure, and "
-              "binary fit all verified\n");
-  return 0;
-}
-
-int cmdCheckpoint(const CommonArgs &A) {
-  if (A.Positional.empty()) {
-    std::fprintf(stderr, "checkpoint: need save, resume, or verify\n");
-    return 1;
-  }
-  if (A.Positional[0] == "save")
-    return cmdCheckpointSave(A);
-  if (A.Positional[0] == "resume")
-    return cmdCheckpointResume(A);
-  if (A.Positional[0] == "verify")
-    return cmdCheckpointVerify(A);
-  std::fprintf(stderr, "checkpoint: unknown subcommand %s\n",
-               A.Positional[0].c_str());
-  return 1;
-}
-
 int cmdDot(const CommonArgs &A) {
   if (A.Positional.empty() || !knownWorkload(A.Positional[0])) {
     std::fprintf(stderr, "dot: unknown workload\n");
@@ -1210,12 +915,11 @@ int dispatch(const std::string &Cmd, const CommonArgs &A) {
     return cmdReport(A);
   if (Cmd == "bench")
     return cmdBench(A);
-  if (Cmd == "checkpoint")
-    return cmdCheckpoint(A);
   if (Cmd == "dot")
     return cmdDot(A);
   if (Cmd == "import")
     return cmdImport(A);
+  std::fprintf(stderr, "unknown command %s\n", Cmd.c_str());
   return usage();
 }
 
@@ -1231,8 +935,8 @@ int main(int Argc, char **Argv) {
   if (!A.TraceOut.empty() || !A.MetricsOut.empty())
     spmTraceSetEnabled(true);
   if (!A.Failpoints.empty()) {
-    // Arming a spec the build cannot honor (SPM_FAILPOINTS=OFF) fails here
-    // rather than running fault-free under a test that expects faults.
+    // An unknown seam or a malformed mode fails here rather than running
+    // fault-free under a test that expects faults.
     std::string Err;
     if (!failpointsConfigure(A.Failpoints, &Err)) {
       std::fprintf(stderr, "--failpoints: %s\n", Err.c_str());
