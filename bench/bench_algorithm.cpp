@@ -138,7 +138,7 @@ void BM_CacheAccess(benchmark::State &State) {
   }
   State.SetItemsProcessed(static_cast<int64_t>(N));
 }
-BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ReuseDistance(benchmark::State &State) {
   ReuseDistanceTracker T(64);

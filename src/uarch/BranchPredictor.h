@@ -41,20 +41,12 @@ public:
       if (C > 0)
         --C;
     }
-    ++Branches;
-    if (Predicted != Taken)
-      ++Mispredicts;
     return Predicted == Taken;
   }
-
-  uint64_t branches() const { return Branches; }
-  uint64_t mispredicts() const { return Mispredicts; }
 
 private:
   uint64_t Mask;
   std::vector<uint8_t> Counters;
-  uint64_t Branches = 0;
-  uint64_t Mispredicts = 0;
 };
 
 } // namespace spm

@@ -117,17 +117,24 @@ struct CacheStats {
   }
 };
 
-/// Snapshot of a CacheModel's contents (tags, LRU stamps, clock, counters),
+/// Snapshot of a CacheModel's contents (tags in recency order, counters),
 /// read through saveState(). A test oracle: it lets the served-cache tests
 /// compare set contents way by way across setAssocPreserving.
 struct CacheModelState {
   CacheStats Stats;
   std::vector<uint64_t> Tags;
-  std::vector<uint64_t> Stamps;
-  uint64_t Clock = 0;
 };
 
-/// A single set-associative LRU cache.
+/// A single set-associative LRU cache. Each set is kept in recency order,
+/// most recently used way first: a Mattson stack as deep as Assoc, so an
+/// access needs no stamps and no clock. It finds its block's depth d with a
+/// scan that never branches on the tags (Assoc when absent), moves ways
+/// 0..d-1 down one place with masks, and puts its block on top. On a miss
+/// d = Assoc, so the same shift drops the least recently used way.
+/// Valid ways form a prefix of their set; invalid ways hold ~0. A run of
+/// accesses tests the way count once. The two shapes PerfModel builds,
+/// its 2-way DL1 and its 8-way L2, have their own unrolled loops; every
+/// other shape takes the runtime loop.
 class CacheModel {
 public:
   explicit CacheModel(CacheConfig Cfg = CacheConfig()) { configure(Cfg); }
@@ -140,22 +147,14 @@ public:
     SetBits = std::countr_zero(Cfg.Sets);
     BlockBits = std::countr_zero(Cfg.BlockBytes);
     Tags.assign(static_cast<size_t>(Cfg.Sets) * Cfg.Assoc, ~0ull);
-    Stamps.assign(Tags.size(), 0);
-    Clock = 0;
-  }
-
-  /// Changes associativity only (the Sec. 6.1 reconfiguration) and flushes.
-  void setAssoc(uint32_t Assoc) {
-    CacheConfig NewCfg = Cfg;
-    NewCfg.Assoc = Assoc;
-    configure(NewCfg);
   }
 
   /// Way-masking reconfiguration as in selective-ways adaptive caches
   /// (Albonesi / Balasubramonian et al., the hardware the paper's Sec. 6.1
   /// experiment models): shrinking disables ways but keeps the most
   /// recently used blocks of each set; growing re-enables ways with their
-  /// (invalidated) frames. No whole-cache flush.
+  /// (invalidated) frames. No whole-cache flush. With sets in recency
+  /// order this is a per-set prefix copy.
   /// The adaptive cache serves from MultiCacheProbe's fill counts instead
   /// (see the file comment); this explicit model is kept as the reference
   /// the tests check those counts against.
@@ -168,34 +167,16 @@ public:
     const uint32_t OldAssoc = Cfg.Assoc;
     const uint32_t Keep = std::min(NewAssoc, OldAssoc);
     const size_t NewSize = static_cast<size_t>(Cfg.Sets) * NewAssoc;
-    if (NewAssoc > OldAssoc) {
+    if (NewAssoc > OldAssoc)
       Tags.resize(NewSize, ~0ull);
-      Stamps.resize(NewSize, 0);
-    }
     // Re-lays set Set from OldAssoc to NewAssoc ways in place: its Keep
-    // most recently used ways first, in recency order, then invalid ways.
-    // Valid ways carry distinct stamps, so the order is exact; ties occur
-    // only between identical invalid ways.
+    // most recent ways, then invalid ways.
     auto Relayout = [&](uint32_t Set) {
-      uint64_t *T = &Tags[static_cast<size_t>(Set) * OldAssoc];
-      uint64_t *S = &Stamps[static_cast<size_t>(Set) * OldAssoc];
-      for (uint32_t I = 1; I < OldAssoc; ++I) { // Insertion sort, newest first.
-        uint64_t Tag = T[I], Stamp = S[I];
-        uint32_t J = I;
-        for (; J > 0 && S[J - 1] < Stamp; --J) {
-          T[J] = T[J - 1];
-          S[J] = S[J - 1];
-        }
-        T[J] = Tag;
-        S[J] = Stamp;
-      }
+      size_t Src = static_cast<size_t>(Set) * OldAssoc;
       size_t Dst = static_cast<size_t>(Set) * NewAssoc;
-      std::memmove(&Tags[Dst], T, Keep * sizeof(uint64_t));
-      std::memmove(&Stamps[Dst], S, Keep * sizeof(uint64_t));
+      std::memmove(&Tags[Dst], &Tags[Src], Keep * sizeof(uint64_t));
       std::fill(Tags.begin() + Dst + Keep, Tags.begin() + Dst + NewAssoc,
                 ~0ull);
-      std::fill(Stamps.begin() + Dst + Keep, Stamps.begin() + Dst + NewAssoc,
-                0);
     };
     // Shrinking moves every set toward the front, growing toward the
     // back; walking in that direction never overwrites a set not yet moved.
@@ -206,53 +187,72 @@ public:
       for (uint32_t Set = Cfg.Sets; Set-- > 0;)
         Relayout(Set);
     Tags.resize(NewSize);
-    Stamps.resize(NewSize);
     Cfg.Assoc = NewAssoc;
   }
 
   /// Simulates one access; returns true on hit. Stores allocate like loads
   /// (write-allocate), matching the simple Cheetah-style model.
-  bool access(uint64_t Addr) {
-    ++Stats.Accesses;
-    uint64_t Block = Addr >> BlockBits;
-    uint32_t Set = static_cast<uint32_t>(Block & (Cfg.Sets - 1));
-    uint64_t Tag = Block >> SetBits;
-    uint64_t *SetTags = &Tags[static_cast<size_t>(Set) * Cfg.Assoc];
-    uint64_t *SetStamps = &Stamps[static_cast<size_t>(Set) * Cfg.Assoc];
-    ++Clock;
+  bool access(uint64_t Addr) { return accessRun(&Addr, 1) == 0; }
 
-    uint32_t Victim = 0;
-    uint64_t OldestStamp = ~0ull;
-    for (uint32_t W = 0; W < Cfg.Assoc; ++W) {
-      if (SetTags[W] == Tag) {
-        SetStamps[W] = Clock;
-        return true;
-      }
-      if (SetStamps[W] < OldestStamp) {
-        OldestStamp = SetStamps[W];
-        Victim = W;
-      }
-    }
-    ++Stats.Misses;
-    SetTags[Victim] = Tag;
-    SetStamps[Victim] = Clock;
-    return false;
+  /// Simulates \p Count accesses in stream order, as that many access()
+  /// calls would, and returns how many missed.
+  uint64_t accessRun(const uint64_t *Addrs, uint32_t Count) {
+    uint64_t Misses = Cfg.Assoc == 2   ? runWays<2>(Addrs, Count)
+                      : Cfg.Assoc == 8 ? runWays<8>(Addrs, Count)
+                                       : runWays<0>(Addrs, Count);
+    Stats.Accesses += Count;
+    Stats.Misses += Misses;
+    return Misses;
   }
 
   const CacheConfig &config() const { return Cfg; }
   const CacheStats &stats() const { return Stats; }
   void resetStats() { Stats = CacheStats(); }
 
-  CacheModelState saveState() const { return {Stats, Tags, Stamps, Clock}; }
+  CacheModelState saveState() const { return {Stats, Tags}; }
 
 private:
+  /// The loop of \p Count steps at \p Ways ways (0: Cfg.Assoc); returns
+  /// the misses.
+  template <uint32_t Ways>
+  uint64_t runWays(const uint64_t *Addrs, uint32_t Count) {
+    uint64_t Misses = 0;
+    for (uint32_t I = 0; I < Count; ++I)
+      Misses += !step<Ways>(Addrs[I]);
+    return Misses;
+  }
+
+  /// One LRU step on the set of \p Addr without touching the counters;
+  /// returns true on hit. \p Ways is the way count, or 0 for Cfg.Assoc.
+  template <uint32_t Ways> bool step(uint64_t Addr) {
+    const uint32_t Assoc = Ways ? Ways : Cfg.Assoc;
+    uint64_t Block = Addr >> BlockBits;
+    uint32_t Set = static_cast<uint32_t>(Block & (Cfg.Sets - 1));
+    uint64_t Tag = Block >> SetBits;
+    uint64_t *S = &Tags[static_cast<size_t>(Set) * Assoc];
+    // Depth of the block, Assoc when absent. Valid tags in a set are
+    // distinct, so at most one way W matches and takes Assoc - W off D.
+    // Both loops are arithmetic and masks, not conditionals, which the
+    // compiler may turn into branches that mispredict on miss-heavy streams.
+    uint32_t D = Assoc;
+#pragma GCC unroll 8
+    for (uint32_t W = 0; W < Assoc; ++W)
+      D -= static_cast<uint32_t>(S[W] == Tag) * (Assoc - W);
+    // Ways 1..D take their upper neighbour; the rest stay.
+#pragma GCC unroll 8
+    for (uint32_t W = Assoc - 1; W > 0; --W) {
+      uint64_t Move = -static_cast<uint64_t>(W <= D);
+      S[W] = (S[W] & ~Move) | (S[W - 1] & Move);
+    }
+    S[0] = Tag;
+    return D < Assoc;
+  }
+
   CacheConfig Cfg;
   uint32_t SetBits = 0;   ///< log2(Cfg.Sets), fixed by configure().
   uint32_t BlockBits = 0; ///< log2(Cfg.BlockBytes), fixed by configure().
   CacheStats Stats;
-  std::vector<uint64_t> Tags;
-  std::vector<uint64_t> Stamps;
-  uint64_t Clock = 0;
+  std::vector<uint64_t> Tags; ///< Sets x Assoc, each set most recent first.
 };
 
 /// Measures a whole configuration sweep on one address stream with one

@@ -24,6 +24,7 @@
 #include "vm/Observer.h"
 
 #include <optional>
+#include <utility>
 
 namespace spm {
 
@@ -105,38 +106,30 @@ public:
 
   void onBlock(const LoweredBlock &Blk) override {
     C.Instrs += Blk.NumInstrs;
-    uint64_t Cycles = 0;
-    for (unsigned I = 0; I < NumOpClasses; ++I)
-      Cycles += ClassLatency[I] * Blk.Mix.Counts[I];
-    C.BaseCycles += Cycles;
+    C.BaseCycles +=
+        baseCycles(Blk.Mix, std::make_index_sequence<NumOpClasses>());
   }
 
   void onMemAccess(uint64_t Addr, bool IsStore) override {
-    (void)IsStore;
-    ++C.L1Accesses;
-    if (DL1.access(Addr))
-      return;
-    ++C.L1Misses;
-    if (!L2)
-      return;
-    ++C.L2Accesses;
-    if (!L2->access(Addr))
-      ++C.L2Misses;
+    onMemRun(&Addr, 1, IsStore);
   }
 
-  /// Bulk form, used by the devirtualized engines (see ObserverTraits): one
-  /// access-counter bump for the whole run, cache probes in stream order
-  /// (identical counter values to per-access delivery).
+  /// Bulk form, used by the devirtualized engines (see ObserverTraits). The
+  /// L2 test is made once per run; without an L2 the run is one
+  /// CacheModel::accessRun call. Cache probes go in stream order, so the
+  /// counters equal per-access delivery's, which is this with Count = 1.
   void onMemRun(const uint64_t *Addrs, uint32_t Count, bool IsStore) {
     (void)IsStore;
     C.L1Accesses += Count;
+    if (!L2) {
+      C.L1Misses += DL1.accessRun(Addrs, Count);
+      return;
+    }
     for (uint32_t I = 0; I < Count; ++I) {
       uint64_t Addr = Addrs[I];
       if (DL1.access(Addr))
         continue;
       ++C.L1Misses;
-      if (!L2)
-        continue;
       ++C.L2Accesses;
       if (!L2->access(Addr))
         ++C.L2Misses;
@@ -167,9 +160,14 @@ public:
     return PerfMetrics::from(Delta, MissPenalty, MispredictPenalty);
   }
 
-  CacheModel &dl1() { return DL1; }
-
 private:
+  /// Sum of ClassLatency[I] * Counts[I], written out as one expression so
+  /// the constant latencies fold into the adds.
+  template <size_t... I>
+  static uint64_t baseCycles(const OpMix &Mix, std::index_sequence<I...>) {
+    return ((ClassLatency[I] * Mix.Counts[I]) + ...);
+  }
+
   PerfCounters C;
   CacheModel DL1;
   std::optional<CacheModel> L2;

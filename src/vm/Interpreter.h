@@ -62,9 +62,9 @@ inline void recordRunMetrics(const char *RunCounter, const RunResult &R) {
 /// The interpreter's one emitter: the exec tree hands every event to it,
 /// and it dispatches the event into \p ObsT at once, unbuffered (see the
 /// dispatch helpers in vm/Observer.h). When \p ObsT has an onMemRun
-/// handler, each MemAccessSpec's accesses are staged in a small reused
-/// buffer and delivered as one bulk record; otherwise each address is
-/// dispatched as it is generated.
+/// handler, each MemAccessSpec's accesses are staged in a reused buffer,
+/// sized once per run and written by index, and delivered as one bulk
+/// record; otherwise each address is dispatched as it is generated.
 template <class ObsT> struct StaticEmitter {
   static constexpr bool BulkMem = ObserverTraits<ObsT>::OwnMemRun;
 
@@ -75,21 +75,22 @@ template <class ObsT> struct StaticEmitter {
 
   static constexpr bool wantsMem() { return wantsMemEvents<ObsT>(); }
   void block(const LoweredBlock &Blk) { dispatchBlock(Obs, Blk); }
-  void beginMemRun() {
+  /// Opens a run of \p Count addresses; memAddr(I, ...) delivers the I-th.
+  void beginMemRun(uint32_t Count) {
     if constexpr (BulkMem)
-      RunBuf.clear();
+      if (RunBuf.size() < Count)
+        RunBuf.resize(Count);
   }
-  void memAddr(uint64_t Addr, bool IsStore) {
+  void memAddr(uint32_t I, uint64_t Addr, bool IsStore) {
     if constexpr (BulkMem)
-      RunBuf.push_back(Addr);
+      RunBuf[I] = Addr;
     else
       dispatchMemAccess(Obs, Addr, IsStore);
   }
-  void endMemRun(bool IsStore) {
+  void endMemRun(uint32_t Count, bool IsStore) {
     if constexpr (BulkMem)
-      if (!RunBuf.empty())
-        dispatchMemRun(Obs, RunBuf.data(),
-                       static_cast<uint32_t>(RunBuf.size()), IsStore);
+      if (Count)
+        dispatchMemRun(Obs, RunBuf.data(), Count, IsStore);
   }
   void branch(uint64_t Pc, uint64_t Target, bool Taken, bool Backward,
               bool Conditional) {
@@ -311,13 +312,13 @@ uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
     if (WS < 64)
       WS = 64;
     const uint64_t Slots = WS / 8;
-    E.beginMemRun();
+    E.beginMemRun(Ms.Count);
     switch (Ms.Pat) {
     case MemAccessSpec::Pattern::Sequential: {
       // Walk the working set with Stride, wrapping.
       uint64_t P = SeqPos[Site];
       for (uint32_t C = 0; C < Ms.Count; ++C) {
-        E.memAddr(Base + (P % WS), Ms.IsStore);
+        E.memAddr(C, Base + (P % WS), Ms.IsStore);
         P += Ms.Stride;
       }
       SeqPos[Site] = P;
@@ -331,7 +332,7 @@ uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
         uint64_t Z = splitMix64(S += 0x9e3779b97f4a7c15ULL);
         uint64_t Slot = static_cast<uint64_t>(
             (static_cast<unsigned __int128>(Z) * Slots) >> 64);
-        E.memAddr(Base + Slot * 8, Ms.IsStore);
+        E.memAddr(C, Base + Slot * 8, Ms.IsStore);
       }
       RandState[Site] = S;
       break;
@@ -339,7 +340,7 @@ uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
     case MemAccessSpec::Pattern::Point: {
       const uint64_t Addr = Base + (Ms.Offset % Size);
       for (uint32_t C = 0; C < Ms.Count; ++C)
-        E.memAddr(Addr, Ms.IsStore);
+        E.memAddr(C, Addr, Ms.IsStore);
       break;
     }
     case MemAccessSpec::Pattern::Chase: {
@@ -348,13 +349,13 @@ uint64_t Interpreter::emitMemRunsT(const LoweredBlock &Blk, Emit &E) {
       uint64_t S = ChaseState[Site];
       for (uint32_t C = 0; C < Ms.Count; ++C) {
         S = S * 6364136223846793005ULL + 1442695040888963407ULL;
-        E.memAddr(Base + ((S >> 11) % Slots) * 8, Ms.IsStore);
+        E.memAddr(C, Base + ((S >> 11) % Slots) * 8, Ms.IsStore);
       }
       ChaseState[Site] = S;
       break;
     }
     }
-    E.endMemRun(Ms.IsStore);
+    E.endMemRun(Ms.Count, Ms.IsStore);
     Emitted += Ms.Count;
   }
   return Emitted;

@@ -124,18 +124,34 @@ TEST(EngineDifferential, IntervalsAndFirings) {
   }
 }
 
-// Whole-run cache statistics: PerfModel alone under run() and runFast.
+// Whole-run cache statistics: PerfModel alone under run() (one access at
+// a time) and runFast (bulk runs), for the default 2-way DL1, with the
+// 8-way L2, and with a 1-, 4- and 8-way DL1, so each of CacheModel's run
+// loops and the L2 path meet both deliveries.
 TEST(EngineDifferential, CacheStats) {
+  std::vector<std::pair<std::string, PerfModelOptions>> Configs;
+  Configs.push_back({"default", PerfModelOptions()});
+  PerfModelOptions WithL2;
+  WithL2.EnableL2 = true;
+  Configs.push_back({"L2", WithL2});
+  for (uint32_t Ways : {1u, 4u, 8u}) {
+    PerfModelOptions O;
+    O.DL1.Assoc = Ways;
+    Configs.push_back({std::to_string(Ways) + "-way", O});
+  }
   for (const RunCase &RC : differentialCases()) {
     Workload W = WorkloadRegistry::create(
         RC.Name.substr(0, RC.Name.find('/')));
     auto B = lower(*W.Program, LoweringOptions::O2());
 
-    PerfModel P1, P2;
-    RunResult R1 = Interpreter(*B, RC.In).run(P1, Cap);
-    RunResult R2 = Interpreter(*B, RC.In).runFast(P2, Cap);
-    expectSameRun(R1, R2, RC.Name);
-    expectSameCounters(P1.counters(), P2.counters(), RC.Name);
+    for (const auto &[Name, Opts] : Configs) {
+      PerfModel P1(Opts), P2(Opts);
+      RunResult R1 = Interpreter(*B, RC.In).run(P1, Cap);
+      RunResult R2 = Interpreter(*B, RC.In).runFast(P2, Cap);
+      std::string Ctx = RC.Name + " " + Name;
+      expectSameRun(R1, R2, Ctx);
+      expectSameCounters(P1.counters(), P2.counters(), Ctx);
+    }
   }
 }
 

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <cinttypes>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 using namespace spm;
 
@@ -76,7 +78,7 @@ TEST(Cache, ReconfigSweepGeometry) {
 TEST(Cache, ConfigureFlushesContents) {
   CacheModel C({16, 2, 64});
   C.access(0x40);
-  C.setAssoc(4);
+  C.configure({16, 4, 64});
   EXPECT_FALSE(C.access(0x40)); // Cold again after reconfiguration.
 }
 
@@ -90,10 +92,11 @@ TEST(Cache, WorkingSetFitsMeansNoCapacityMisses) {
 }
 
 TEST(Cache, PreservingReshapeKeepsMostRecentWaysInOrder) {
-  // Reference for setAssocPreserving: per set, sort the old ways newest
-  // first, keep min(old, new) of them, pad with invalid ways; an unchanged
-  // way count leaves the tables alone. Checked on the full tag/stamp
-  // tables after every reshape of a random sequence.
+  // Reference for setAssocPreserving: each set is stored most recent way
+  // first, so the reshaped set is the old set's first min(old, new) ways
+  // padded with invalid ways; an unchanged way count leaves the table
+  // alone. Checked on the full tag table after every reshape of a random
+  // sequence.
   CacheModel C({16, 4, 64});
   Rng R(23);
   for (int Step = 0; Step < 60; ++Step) {
@@ -102,30 +105,184 @@ TEST(Cache, PreservingReshapeKeepsMostRecentWaysInOrder) {
     CacheModelState Before = C.saveState();
     uint32_t Old = C.config().Assoc;
     uint32_t New = 1 + static_cast<uint32_t>(R.nextBelow(8));
-    std::vector<uint64_t> Tags(16 * New, ~0ull), Stamps(16 * New, 0);
-    if (New == Old) {
-      Tags = Before.Tags;
-      Stamps = Before.Stamps;
-    }
-    for (uint32_t Set = 0; Set < 16 && New != Old; ++Set) {
-      std::vector<uint32_t> Order(Old);
-      std::iota(Order.begin(), Order.end(), 0u);
-      std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-        return Before.Stamps[Set * Old + A] > Before.Stamps[Set * Old + B];
-      });
-      for (uint32_t W = 0; W < std::min(Old, New); ++W) {
-        Tags[Set * New + W] = Before.Tags[Set * Old + Order[W]];
-        Stamps[Set * New + W] = Before.Stamps[Set * Old + Order[W]];
-      }
-    }
+    std::vector<uint64_t> Tags(16 * New, ~0ull);
+    for (uint32_t Set = 0; Set < 16; ++Set)
+      for (uint32_t W = 0; W < std::min(Old, New); ++W)
+        Tags[Set * New + W] = Before.Tags[Set * Old + W];
     C.setAssocPreserving(New);
     CacheModelState After = C.saveState();
     ASSERT_EQ(After.Tags, Tags) << "step " << Step << ": " << Old << " -> "
                                 << New;
-    ASSERT_EQ(After.Stamps, Stamps) << "step " << Step;
-    EXPECT_EQ(After.Clock, Before.Clock);
     EXPECT_EQ(After.Stats.Misses, Before.Stats.Misses);
   }
+}
+
+namespace {
+
+/// The textbook stamp LRU, kept here as the independent reference for
+/// CacheModel's recency-order sets: every way carries the clock value of
+/// its last use, a hit restamps its way, a miss replaces the way with the
+/// oldest stamp (invalid ways carry stamp 0, so they fill first), and a
+/// way-preserving reshape sorts each set newest first and keeps the most
+/// recent min(old, new) ways.
+class StampLru {
+public:
+  explicit StampLru(CacheConfig Cfg)
+      : Cfg(Cfg), Tags(size_t{Cfg.Sets} * Cfg.Assoc, ~0ull),
+        Stamps(Tags.size(), 0) {}
+
+  bool access(uint64_t Addr) {
+    ++Clock;
+    uint64_t Block = Addr / Cfg.BlockBytes;
+    size_t Base = (Block % Cfg.Sets) * Cfg.Assoc;
+    uint64_t Tag = Block / Cfg.Sets;
+    size_t Victim = Base;
+    for (size_t W = Base; W < Base + Cfg.Assoc; ++W) {
+      if (Tags[W] == Tag) {
+        Stamps[W] = Clock;
+        return true;
+      }
+      if (Stamps[W] < Stamps[Victim])
+        Victim = W;
+    }
+    Tags[Victim] = Tag;
+    Stamps[Victim] = Clock;
+    return false;
+  }
+
+  void setAssocPreserving(uint32_t New) {
+    std::vector<uint64_t> T(size_t{Cfg.Sets} * New, ~0ull), S(T.size(), 0);
+    for (uint32_t Set = 0; Set < Cfg.Sets; ++Set) {
+      std::vector<uint32_t> Order = recency(Set);
+      for (uint32_t W = 0; W < std::min<size_t>(New, Order.size()); ++W) {
+        T[Set * New + W] = Tags[Set * Cfg.Assoc + Order[W]];
+        S[Set * New + W] = Stamps[Set * Cfg.Assoc + Order[W]];
+      }
+    }
+    Tags = std::move(T);
+    Stamps = std::move(S);
+    Cfg.Assoc = New;
+  }
+
+  /// Valid tags of \p Set, most recently used first.
+  std::vector<uint64_t> contents(uint32_t Set) const {
+    std::vector<uint64_t> Out;
+    for (uint32_t W : recency(Set))
+      Out.push_back(Tags[Set * Cfg.Assoc + W]);
+    return Out;
+  }
+
+private:
+  /// Ways of \p Set that hold a block, newest stamp first.
+  std::vector<uint32_t> recency(uint32_t Set) const {
+    std::vector<uint32_t> Order;
+    for (uint32_t W = 0; W < Cfg.Assoc; ++W)
+      if (Stamps[Set * Cfg.Assoc + W])
+        Order.push_back(W);
+    std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+      return Stamps[Set * Cfg.Assoc + A] > Stamps[Set * Cfg.Assoc + B];
+    });
+    return Order;
+  }
+
+  CacheConfig Cfg;
+  std::vector<uint64_t> Tags, Stamps;
+  uint64_t Clock = 0;
+};
+
+/// The data addresses of \p Program's run on its train or ref input.
+std::vector<uint64_t> addressStream(const char *Program, bool Ref) {
+  struct Recorder {
+    void onMemAccess(uint64_t Addr, bool IsStore) {
+      (void)IsStore;
+      Out.push_back(Addr);
+    }
+    std::vector<uint64_t> Out;
+  };
+  Workload W = WorkloadRegistry::create(Program);
+  auto B = lower(*W.Program, LoweringOptions::O2());
+  Recorder Rec;
+  Interpreter(*B, Ref ? W.Ref : W.Train).runFast(Rec);
+  return std::move(Rec.Out);
+}
+
+const std::vector<uint64_t> &recordedStream();
+
+/// Every set of \p C, way by way, against \p Ref's recency order.
+void expectSameContents(const CacheModel &C, const StampLru &Ref,
+                        const std::string &Where) {
+  const CacheConfig &G = C.config();
+  CacheModelState St = C.saveState();
+  for (uint32_t Set = 0; Set < G.Sets; ++Set) {
+    std::vector<uint64_t> Want = Ref.contents(Set);
+    Want.resize(G.Assoc, ~0ull);
+    std::vector<uint64_t> Got(St.Tags.begin() + Set * G.Assoc,
+                              St.Tags.begin() + (Set + 1) * G.Assoc);
+    ASSERT_EQ(Got, Want) << Where << ", set " << Set;
+  }
+}
+
+/// Feeds \p Addrs to a CacheModel and a StampLru of geometry \p G and
+/// compares every access's hit. With \p Reshape, both are reshaped by
+/// setAssocPreserving to a random way count in 1..8 every 1..3000
+/// accesses, and their contents are compared after each reshape.
+void expectStampExact(CacheConfig G, const std::vector<uint64_t> &Addrs,
+                      bool Reshape, uint64_t Seed, const char *Stream) {
+  CacheModel C(G);
+  StampLru Ref(G);
+  Rng R(Seed);
+  uint64_t Next = Reshape ? 1 + R.nextBelow(3000) : Addrs.size();
+  uint64_t Misses = 0;
+  for (size_t N = 0; N < Addrs.size(); ++N) {
+    if (N == Next) {
+      uint32_t Ways = 1 + static_cast<uint32_t>(R.nextBelow(8));
+      C.setAssocPreserving(Ways);
+      Ref.setAssocPreserving(Ways);
+      expectSameContents(C, Ref,
+                         std::string(Stream) + ", reshape at " +
+                             std::to_string(N) + " to " +
+                             std::to_string(Ways) + " ways");
+      if (::testing::Test::HasFatalFailure())
+        return;
+      Next += 1 + R.nextBelow(3000);
+    }
+    bool Hit = C.access(Addrs[N]);
+    ASSERT_EQ(Hit, Ref.access(Addrs[N]))
+        << Stream << ", " << G.Assoc << " ways at start, access " << N
+        << " at " << C.config().Assoc << " ways";
+    Misses += !Hit;
+  }
+  EXPECT_EQ(C.stats().Accesses, Addrs.size()) << Stream;
+  EXPECT_EQ(C.stats().Misses, Misses) << Stream;
+  EXPECT_GT(Misses, 0u) << Stream;
+  EXPECT_LT(Misses, Addrs.size()) << Stream;
+  expectSameContents(C, Ref, std::string(Stream) + ", end");
+}
+
+} // namespace
+
+TEST(Cache, MatchesStampLruReference) {
+  // Random streams on 16 sets (a hot region that fits from six ways up,
+  // a wider one, stray blocks), registry streams on the DL1 geometry.
+  Rng R(31);
+  std::vector<uint64_t> Random(200000);
+  for (uint64_t &A : Random) {
+    uint64_t Pick = R.nextBelow(16);
+    A = Pick < 10   ? R.nextBelow(6 * 16 * 64)
+        : Pick < 15 ? R.nextBelow(16 * 16 * 64)
+                    : (1ull << 40) + R.nextBelow(1ull << 30);
+  }
+  const std::vector<uint64_t> Mcf = addressStream("mcf", /*Ref=*/false);
+  ASSERT_GT(Mcf.size(), 100000u);
+  for (uint32_t Ways = 1; Ways <= 8; ++Ways)
+    for (bool Reshape : {false, true}) {
+      expectStampExact({16, Ways, 64}, Random, Reshape, Ways, "random");
+      expectStampExact({512, Ways, 64}, recordedStream(), Reshape, Ways,
+                       "mesh ref");
+      expectStampExact({512, Ways, 64}, Mcf, Reshape, Ways, "mcf train");
+      if (HasFatalFailure())
+        return;
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -199,20 +356,8 @@ std::vector<uint64_t> sequentialStream() {
 
 /// The data addresses of a reconfig-suite program's ref run.
 const std::vector<uint64_t> &recordedStream() {
-  static const std::vector<uint64_t> Addrs = [] {
-    struct Recorder {
-      void onMemAccess(uint64_t Addr, bool IsStore) {
-        (void)IsStore;
-        Out.push_back(Addr);
-      }
-      std::vector<uint64_t> Out;
-    };
-    Workload W = WorkloadRegistry::create("mesh");
-    auto B = lower(*W.Program, LoweringOptions::O2());
-    Recorder Rec;
-    Interpreter(*B, W.Ref).runFast(Rec);
-    return std::move(Rec.Out);
-  }();
+  static const std::vector<uint64_t> Addrs =
+      addressStream("mesh", /*Ref=*/true);
   return Addrs;
 }
 
@@ -447,9 +592,10 @@ TEST(CacheGeometry, ProbeRejectsMixedBlockBytes) {
 
 TEST(BranchPredictor, LearnsStronglyBiasedBranch) {
   BranchPredictor2Bit P;
+  uint64_t Misses = 0;
   for (int I = 0; I < 100; ++I)
-    P.predictAndUpdate(0x1000, true);
-  EXPECT_LT(P.mispredicts(), 3u);
+    Misses += !P.predictAndUpdate(0x1000, true);
+  EXPECT_LT(Misses, 3u);
 }
 
 TEST(BranchPredictor, LoopExitCostsOneMiss) {
@@ -459,10 +605,9 @@ TEST(BranchPredictor, LoopExitCostsOneMiss) {
   for (int Rep = 0; Rep < 20; ++Rep) {
     for (int I = 0; I < 10; ++I)
       P.predictAndUpdate(0x2000, true);
-    uint64_t Before = P.mispredicts();
-    P.predictAndUpdate(0x2000, false);
+    bool Missed = !P.predictAndUpdate(0x2000, false);
     if (Rep > 2)
-      MissAtStable += P.mispredicts() - Before;
+      MissAtStable += Missed;
   }
   // A 2-bit counter mispredicts each loop exit exactly once in steady state.
   EXPECT_EQ(MissAtStable, 17u);
@@ -472,9 +617,10 @@ TEST(BranchPredictor, RandomBranchMispredictsHalf) {
   BranchPredictor2Bit P;
   Rng R(5);
   const int N = 20000;
+  uint64_t Misses = 0;
   for (int I = 0; I < N; ++I)
-    P.predictAndUpdate(0x3000, R.nextBool(0.5));
-  double Rate = static_cast<double>(P.mispredicts()) / N;
+    Misses += !P.predictAndUpdate(0x3000, R.nextBool(0.5));
+  double Rate = static_cast<double>(Misses) / N;
   EXPECT_NEAR(Rate, 0.5, 0.05);
 }
 
@@ -589,4 +735,93 @@ TEST(PerfCounters, CyclesPricingWithAndWithoutL2) {
   C.L2Accesses = 100;
   C.L2Misses = 20;
   EXPECT_EQ(C.cycles(24, 8), 1000u + 80 * 8 + 20 * 48);
+}
+
+namespace {
+
+/// FNV-1a over the eight counter fields, folded into \p H.
+uint64_t foldCounters(uint64_t H, const PerfCounters &C) {
+  for (uint64_t V : {C.Instrs, C.BaseCycles, C.L1Accesses, C.L1Misses,
+                     C.L2Accesses, C.L2Misses, C.Branches, C.Mispredicts})
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      H ^= (V >> (8 * Byte)) & 0xff;
+      H *= 0x100000001b3ULL;
+    }
+  return H;
+}
+
+} // namespace
+
+TEST(PerfModelPinned, CountersOnEveryProgram) {
+  // Every PerfCounters field of every registry program on both inputs,
+  // under the default model, with the L2, and with a 1-, 4- and 8-way DL1,
+  // against digests pinned before the recency-order cache. That run()
+  // counts the same as runFast under these options is engine_test's
+  // EngineDifferential.CacheStats.
+  std::vector<std::pair<const char *, PerfModelOptions>> Configs;
+  Configs.push_back({"default", PerfModelOptions()});
+  PerfModelOptions WithL2;
+  WithL2.EnableL2 = true;
+  Configs.push_back({"L2", WithL2});
+  for (uint32_t Ways : {1u, 4u, 8u}) {
+    PerfModelOptions O;
+    O.DL1.Assoc = Ways;
+    Configs.push_back({Ways == 1 ? "1-way" : Ways == 4 ? "4-way" : "8-way",
+                       O});
+  }
+  struct Pin {
+    const char *Program;
+    uint64_t Train, Ref; ///< Counter digests over all configurations.
+  };
+  static const Pin Pins[] = {
+      {"art", 0x0da2b2c2825fb4c1ULL, 0xf2d279c2c3238591ULL},
+      {"bzip2", 0xb28fe977c7ef2b9cULL, 0x284db6fee0307688ULL},
+      {"galgel", 0x4b4f368456dc2d64ULL, 0xb4cde5c0806d3c37ULL},
+      {"gcc", 0xb501b09c218dccdcULL, 0x469ea05a2fbf0753ULL},
+      {"gzip", 0x03433fa67ecad2cdULL, 0x55b07aa7308fa41cULL},
+      {"lucas", 0xa64cd446c50eecb8ULL, 0x596da280865e4e39ULL},
+      {"mcf", 0x025d0240481bace3ULL, 0x135ba48a4ad0787cULL},
+      {"mgrid", 0x888a722ae2c3e3c6ULL, 0x64ec6a9194c23190ULL},
+      {"perlbmk", 0xce2ab062a70be643ULL, 0xfc076bde9a4480aeULL},
+      {"vortex", 0xe17429c96e45c4a5ULL, 0x899666f5200b3aa0ULL},
+      {"vpr", 0x032880915d5b8cabULL, 0x82bedc19503e8183ULL},
+      {"applu", 0xf87def669c7d887bULL, 0xf3a0719b3c5b62a3ULL},
+      {"compress95", 0x0bd5ab55346649e0ULL, 0x9f1165cfd3ea02ffULL},
+      {"mesh", 0x65018e6964bf10f8ULL, 0xab86e774ba685f69ULL},
+      {"swim", 0x642366adcfa6f4bdULL, 0x4904c29a1ce3bce3ULL},
+      {"tomcatv", 0xf412f9c5478db08dULL, 0x19378698dbb21926ULL},
+  };
+  std::string Fresh;
+  const std::vector<std::string> Names = WorkloadRegistry::allNames();
+  ASSERT_EQ(Names.size(), std::size(Pins));
+  for (size_t P = 0; P < Names.size(); ++P) {
+    Workload W = WorkloadRegistry::create(Names[P]);
+    auto B = lower(*W.Program, LoweringOptions::O2());
+    uint64_t Got[2];
+    for (int I = 0; I < 2; ++I) {
+      const WorkloadInput &In = I ? W.Ref : W.Train;
+      uint64_t H = 0xcbf29ce484222325ULL;
+      for (const auto &[Name, Opts] : Configs) {
+        PerfModel Fast(Opts);
+        Interpreter(*B, In).runFast(Fast);
+        std::string Where = Names[P] + (I ? " ref " : " train ") + Name;
+        EXPECT_GT(Fast.counters().L1Misses, 0u) << Where;
+        EXPECT_EQ(Fast.counters().L2Accesses,
+                  Opts.EnableL2 ? Fast.counters().L1Misses : 0u)
+            << Where;
+        H = foldCounters(H, Fast.counters());
+      }
+      Got[I] = H;
+    }
+    char Line[96];
+    std::snprintf(Line, sizeof(Line),
+                  "{\"%s\", 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL},\n",
+                  Names[P].c_str(), Got[0], Got[1]);
+    Fresh += Line;
+    EXPECT_EQ(Names[P], Pins[P].Program);
+    EXPECT_EQ(Got[0], Pins[P].Train) << Names[P] << " train";
+    EXPECT_EQ(Got[1], Pins[P].Ref) << Names[P] << " ref";
+  }
+  if (HasFailure())
+    std::printf("fresh pins:\n%s", Fresh.c_str());
 }
